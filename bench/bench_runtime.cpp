@@ -209,7 +209,6 @@ void BM_MonodromyParallel(benchmark::State& state) {
   ThreadPool pool(jobs);
   PssOptions opt;
   opt.stepsPerPeriod = 180;
-  opt.solver = LinearSolverKind::kSparse;
   opt.pool = jobs > 1 ? &pool : nullptr;  // jobs=1: the plain serial path
   PssWorkspace ws;
   for (auto _ : state) {

@@ -2,6 +2,32 @@
 
 namespace psmn {
 
+void Stamper::stampSlotSlow(SparseMatrix<Real>& m, TapeCursor& t, int eq,
+                            int var, Real v) {
+  Real* slot = m.find(eq, var);
+  if (slot == nullptr) {
+    // Off-pattern: the assembler rebuilds the pattern (which drops the
+    // tape) and re-stamps, so nothing is recorded.
+    sparseMiss_ = true;
+    return;
+  }
+  *slot += v;
+  const StampTapeEntry e{stampKey(eq, var),
+                         static_cast<int>(slot - m.values().data())};
+  if (t.pos->key != kStampTapeEnd) {
+    *t.pos++ = e;  // heal the mismatched entry in place
+    ++tapeMisses_;
+    return;
+  }
+  // At the end marker: the recording pass, or a pass with more stamps than
+  // any before it (counted as a miss then).
+  std::vector<StampTapeEntry>& tape = m.stampTape();
+  tape.back() = e;
+  tape.push_back({kStampTapeEnd, 0});
+  t.pos = &tape.back();
+  if (t.recorded) ++tapeMisses_;
+}
+
 MismatchParam Device::mismatchParam(size_t) const {
   throw Error("device '" + name() + "' has no mismatch parameters");
 }

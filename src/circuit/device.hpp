@@ -22,6 +22,7 @@
 // right-hand side through a time derivative along the periodic orbit.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,8 +84,10 @@ class BranchAllocator {
 /// Accumulation target devices stamp into. Equation/variable indices are
 /// MNA indices; -1 denotes ground (contributions silently dropped).
 ///
-/// Matrix accumulation has two backends: dense (G/C matrices) and triplet
-/// (for the sparse solver); vectors are always dense.
+/// Matrix accumulation goes to exactly one target per stamper: the cached
+/// CSC pattern slots (production assembly), dense G/C matrices (AC, the
+/// test oracle), or triplet lists (pattern discovery); vectors are always
+/// dense.
 class Stamper {
  public:
   Stamper(std::span<const Real> x, Real time, size_t n)
@@ -98,12 +101,23 @@ class Stamper {
     cTrip_ = c;
   }
   /// Pattern-slot accumulation: stamps land in the preallocated CSC slots
-  /// of `g`/`c` (no heap traffic). A stamp whose (eq, var) position is
-  /// missing from the pattern sets sparseMiss() instead of being dropped,
-  /// so the assembler can rebuild the pattern and re-stamp.
+  /// of `g`/`c` (no heap traffic once their stamp tapes are recorded). A
+  /// stamp whose (eq, var) position is missing from the pattern sets
+  /// sparseMiss() instead of being dropped, so the assembler can rebuild
+  /// the pattern and re-stamp.
+  ///
+  /// Stamp tape: the first pass into a fresh pattern records every stamp's
+  /// (eq, var, slot) on the matrix (SparseMatrix::stampTape); later passes
+  /// replay it in call order, so a stamp costs one compare instead of a
+  /// binary search. A replayed entry whose (eq, var) differs from the call
+  /// (a MOSFET drain/source swap, a device changing its stamp count) falls
+  /// back to find() and re-records that entry, so the result is the
+  /// find() result bit for bit.
   void attachSparse(SparseMatrix<Real>* g, SparseMatrix<Real>* c) {
     gSparse_ = g;
     cSparse_ = c;
+    if (g) gTape_ = TapeCursor(*g);
+    if (c) cTape_ = TapeCursor(*c);
   }
   void attachVectors(RealVector* f, RealVector* q) { f_ = f; q_ = q; }
   void setSourceScale(Real s) { sourceScale_ = s; }
@@ -113,6 +127,9 @@ class Stamper {
   /// temporary vector per component.
   void setStampScale(Real w) { stampScale_ = w; }
   bool sparseMiss() const { return sparseMiss_; }
+  /// Replayed tape entries that did not match their stamp call (each was
+  /// resolved by find() and re-recorded).
+  uint64_t tapeMisses() const { return tapeMisses_; }
 
   // --- device-side queries ---
   /// Voltage/current of unknown `idx` in the current iterate (0 for ground).
@@ -136,22 +153,26 @@ class Stamper {
   void addQ(int eq, Real val) {
     if (eq >= 0 && q_) (*q_)[eq] += stampScale_ * val;
   }
-  void addG(int eq, int var, Real val) {
+  // Forced inline: these run for every stamp of every Newton iteration,
+  // and an out-of-line call costs more than the replayed tape lookup.
+  [[gnu::always_inline]] void addG(int eq, int var, Real val) {
     if (eq < 0 || var < 0) return;
-    if (gDense_) (*gDense_)(eq, var) += stampScale_ * val;
-    if (gTrip_) gTrip_->push_back({eq, var, stampScale_ * val});
     if (gSparse_) {
-      if (Real* slot = gSparse_->find(eq, var)) *slot += stampScale_ * val;
-      else sparseMiss_ = true;
+      stampSlot(*gSparse_, gTape_, eq, var, stampScale_ * val);
+    } else if (gDense_) {
+      (*gDense_)(eq, var) += stampScale_ * val;
+    } else if (gTrip_) {
+      gTrip_->push_back({eq, var, stampScale_ * val});
     }
   }
-  void addC(int eq, int var, Real val) {
+  [[gnu::always_inline]] void addC(int eq, int var, Real val) {
     if (eq < 0 || var < 0) return;
-    if (cDense_) (*cDense_)(eq, var) += stampScale_ * val;
-    if (cTrip_) cTrip_->push_back({eq, var, stampScale_ * val});
     if (cSparse_) {
-      if (Real* slot = cSparse_->find(eq, var)) *slot += stampScale_ * val;
-      else sparseMiss_ = true;
+      stampSlot(*cSparse_, cTape_, eq, var, stampScale_ * val);
+    } else if (cDense_) {
+      (*cDense_)(eq, var) += stampScale_ * val;
+    } else if (cTrip_) {
+      cTrip_->push_back({eq, var, stampScale_ * val});
     }
   }
 
@@ -180,6 +201,37 @@ class Stamper {
   }
 
  private:
+  /// Replay position in one matrix's stamp tape.
+  struct TapeCursor {
+    TapeCursor() = default;
+    explicit TapeCursor(SparseMatrix<Real>& m) {
+      std::vector<StampTapeEntry>& tape = m.stampTape();
+      if (tape.empty()) tape.push_back({kStampTapeEnd, 0});
+      recorded = tape.size() > 1;
+      pos = tape.data();
+      values = m.values().data();
+    }
+    StampTapeEntry* pos = nullptr;
+    Real* values = nullptr;
+    bool recorded = false;  // the tape held a prior pass when attached
+  };
+
+  [[gnu::always_inline]] void stampSlot(SparseMatrix<Real>& m, TapeCursor& t,
+                                        int eq, int var, Real v) {
+    // The end marker never matches, so one compare covers "recorded" and
+    // "same position as last pass".
+    if (t.pos->key == stampKey(eq, var)) [[likely]] {
+      t.values[t.pos->slot] += v;
+      ++t.pos;
+      return;
+    }
+    stampSlotSlow(m, t, eq, var, v);
+  }
+  /// Tape miss or recording pass: resolves the slot with find() and
+  /// records it at the cursor (defined in device.cpp, off the hot path).
+  void stampSlotSlow(SparseMatrix<Real>& m, TapeCursor& t, int eq, int var,
+                     Real v);
+
   std::span<const Real> x_;
   Real time_ = 0.0;
   size_t n_ = 0;
@@ -187,12 +239,14 @@ class Stamper {
   Real gmin_ = 0.0;
   Real stampScale_ = 1.0;
   bool sparseMiss_ = false;
+  uint64_t tapeMisses_ = 0;
   RealMatrix* gDense_ = nullptr;
   RealMatrix* cDense_ = nullptr;
   std::vector<Triplet<Real>>* gTrip_ = nullptr;
   std::vector<Triplet<Real>>* cTrip_ = nullptr;
   SparseMatrix<Real>* gSparse_ = nullptr;
   SparseMatrix<Real>* cSparse_ = nullptr;
+  TapeCursor gTape_, cTape_;
   RealVector* f_ = nullptr;
   RealVector* q_ = nullptr;
 };

@@ -144,8 +144,8 @@ LogicPathCircuit buildLogicPath(Netlist& nl, const ProcessKit& kit,
 
 /// Driven inverter chain: VDD + pulse source -> `rows` parallel chains of
 /// `stages` inverters with load caps, all driven from the same input. The
-/// scalable fixture for solver benchmarks and the dense/sparse golden
-/// tests — node count is rows*stages + 2, while DC difficulty (Newton
+/// scalable fixture for solver benchmarks and the engine golden tests —
+/// node count is rows*stages + 2, while DC difficulty (Newton
 /// iterations grow with logic depth) is set by `stages` alone.
 struct InverterChainCircuit {
   NodeId vddNode, in;

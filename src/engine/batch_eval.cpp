@@ -27,14 +27,10 @@ struct LaneState {
 };
 
 Stamper makeLaneStamper(LaneState& ln, Real t1, size_t n,
-                        const MnaSystem::EvalOptions& eopt, bool sparse) {
+                        const MnaSystem::EvalOptions& eopt) {
   Stamper s(ln.ws.x1, t1, n);
   s.attachVectors(&ln.ws.f, &ln.ws.q1);
-  if (sparse) {
-    s.attachSparse(&ln.ws.gsp, &ln.ws.csp);
-  } else {
-    s.attachDense(&ln.ws.j, &ln.ws.c);
-  }
+  s.attachSparse(&ln.ws.gsp, &ln.ws.csp);
   s.setSourceScale(eopt.sourceScale);
   s.setGmin(eopt.gmin);
   return s;
@@ -65,13 +61,13 @@ void buildLanePattern(const MnaSystem& sys, const DeviceBatch& batch,
 }
 
 /// One Newton iteration's system evaluation for every active lane:
-/// replicates MnaSystem::evalSparse / evalDense per lane but performs a
+/// replicates MnaSystem::evalSparse per lane but performs a
 /// single structural device walk that stamps all of them (the batched
 /// inner loops in Device::evalBatch).
 void batchEvalIteration(const MnaSystem& sys, const DeviceBatch& batch,
                         std::vector<LaneState>& lanes,
                         const std::vector<unsigned char>& active, Real t1,
-                        const MnaSystem::EvalOptions& eopt, bool sparse,
+                        const MnaSystem::EvalOptions& eopt,
                         std::vector<Stamper>& stampers,
                         std::vector<Stamper>& scratch,
                         std::vector<unsigned char>& solo) {
@@ -84,31 +80,31 @@ void batchEvalIteration(const MnaSystem& sys, const DeviceBatch& batch,
     if (active[l]) telemetryCount(Counter::kMnaEvals);
   }
 
-  if (sparse) {
-    // Amortized symbolic construction: the first lane needing a pattern
-    // runs the triplet discovery pass; the rest copy its CSC skeleton.
-    // Sound because stamp POSITIONS are value-independent (a MOSFET's
-    // operating-region frame swap permutes the same 8-slot multiset, and
-    // fromTriplets sorts/dedups), so discovery in any lane yields the
-    // same pattern — hence the same AMD ordering and the same rounding —
-    // that a scalar run of each scenario would have built for itself.
-    int src = -1;
-    for (size_t l = 0; l < L; ++l) {
-      if (active[l] && lanes[l].ws.gsp.rows() == n) {
-        src = static_cast<int>(l);
-        break;
-      }
+  // Amortized symbolic construction: the first lane needing a pattern
+  // runs the triplet discovery pass; the rest copy its CSC skeleton (the
+  // copy carries no stamp tape: each lane records its own on its first
+  // pass). Sound because stamp POSITIONS are value-independent (a
+  // MOSFET's operating-region frame swap permutes the same 8-slot
+  // multiset, and fromTriplets sorts/dedups), so discovery in any lane
+  // yields the same pattern — hence the same AMD ordering and the same
+  // rounding — that a scalar run of each scenario would have built for
+  // itself.
+  int src = -1;
+  for (size_t l = 0; l < L; ++l) {
+    if (active[l] && lanes[l].ws.gsp.rows() == n) {
+      src = static_cast<int>(l);
+      break;
     }
-    for (size_t l = 0; l < L; ++l) {
-      if (!active[l] || lanes[l].ws.gsp.rows() == n) continue;
-      if (src >= 0) {
-        lanes[l].ws.gsp = lanes[static_cast<size_t>(src)].ws.gsp;
-        lanes[l].ws.csp = lanes[static_cast<size_t>(src)].ws.csp;
-        telemetryCount(Counter::kBatchSymbolicReuse);
-      } else {
-        buildLanePattern(sys, batch, lanes, l, t1, eopt, scratch, solo);
-        src = static_cast<int>(l);
-      }
+  }
+  for (size_t l = 0; l < L; ++l) {
+    if (!active[l] || lanes[l].ws.gsp.rows() == n) continue;
+    if (src >= 0) {
+      lanes[l].ws.gsp = lanes[static_cast<size_t>(src)].ws.gsp;
+      lanes[l].ws.csp = lanes[static_cast<size_t>(src)].ws.csp;
+      telemetryCount(Counter::kBatchSymbolicReuse);
+    } else {
+      buildLanePattern(sys, batch, lanes, l, t1, eopt, scratch, solo);
+      src = static_cast<int>(l);
     }
   }
 
@@ -118,37 +114,34 @@ void batchEvalIteration(const MnaSystem& sys, const DeviceBatch& batch,
     if (active[l]) {
       ln.ws.f.assign(n, 0.0);
       ln.ws.q1.assign(n, 0.0);
-      if (sparse) {
-        ln.ws.gsp.zeroValues();
-        ln.ws.csp.zeroValues();
-      } else {
-        ln.ws.j.resize(n, n);
-        ln.ws.c.resize(n, n);
-      }
+      ln.ws.gsp.zeroValues();
+      ln.ws.csp.zeroValues();
     }
-    stampers.push_back(makeLaneStamper(ln, t1, n, eopt, sparse));
+    stampers.push_back(makeLaneStamper(ln, t1, n, eopt));
   }
   batch.evalLanes(stampers, active);
 
   // Pattern-miss fixups stay lane-local, mirroring evalSparse's
   // two-attempt loop: rebuild that lane's pattern, re-stamp only it.
-  if (sparse) {
-    for (size_t l = 0; l < L; ++l) {
-      if (!active[l] || !stampers[l].sparseMiss()) continue;
-      buildLanePattern(sys, batch, lanes, l, t1, eopt, scratch, solo);
-      LaneState& ln = lanes[l];
-      ln.ws.f.assign(n, 0.0);
-      ln.ws.q1.assign(n, 0.0);
-      ln.ws.gsp.zeroValues();
-      ln.ws.csp.zeroValues();
-      stampers[l] = makeLaneStamper(ln, t1, n, eopt, sparse);
-      solo.assign(L, 0);
-      solo[l] = 1;
-      batch.evalLanes(stampers, solo);
-      PSMN_CHECK(!stampers[l].sparseMiss(),
-                 "batched eval: pattern miss after rebuild");
-    }
+  uint64_t tapeMisses = 0;
+  for (size_t l = 0; l < L; ++l) {
+    if (!active[l]) continue;
+    tapeMisses += stampers[l].tapeMisses();
+    if (!stampers[l].sparseMiss()) continue;
+    buildLanePattern(sys, batch, lanes, l, t1, eopt, scratch, solo);
+    LaneState& ln = lanes[l];
+    ln.ws.f.assign(n, 0.0);
+    ln.ws.q1.assign(n, 0.0);
+    ln.ws.gsp.zeroValues();
+    ln.ws.csp.zeroValues();
+    stampers[l] = makeLaneStamper(ln, t1, n, eopt);
+    solo.assign(L, 0);
+    solo[l] = 1;
+    batch.evalLanes(stampers, solo);
+    PSMN_CHECK(!stampers[l].sparseMiss(),
+               "batched eval: pattern miss after rebuild");
   }
+  if (tapeMisses > 0) telemetryCount(Counter::kStampTapeMisses, tapeMisses);
 
   // gshunt homotopy shunt and fault poisoning, per lane, exactly as the
   // scalar eval tail applies them.
@@ -158,12 +151,8 @@ void batchEvalIteration(const MnaSystem& sys, const DeviceBatch& batch,
     if (eopt.gshunt > 0.0) {
       for (size_t i = 0; i < sys.nodeUnknowns(); ++i) {
         ln.ws.f[i] += eopt.gshunt * ln.ws.x1[i];
-        if (sparse) {
-          *ln.ws.gsp.find(static_cast<int>(i), static_cast<int>(i)) +=
-              eopt.gshunt;
-        } else {
-          ln.ws.j(i, i) += eopt.gshunt;
-        }
+        *ln.ws.gsp.find(static_cast<int>(i), static_cast<int>(i)) +=
+            eopt.gshunt;
       }
     }
     if (faultShouldFire("mna.eval")) {
@@ -195,14 +184,11 @@ std::vector<BatchLaneOutcome> runTransientBatch(const MnaSystem& sys,
   // prologue for that scenario.
   for (size_t l = 0; l < L; ++l) {
     LaneState& ln = lanes[l];
-    ln.ws.chooseBackend(n, opt);
     batch.applyLane(l);
     try {
       DcOptions dopt;
       dopt.time = t0;
       dopt.gshunt = opt.gshunt;
-      dopt.solver = opt.solver;
-      dopt.sparseThreshold = opt.sparseThreshold;
       dopt.ordering = opt.ordering;
       ln.x = solveDc(sys, dopt).x;
     } catch (const Error& e) {
@@ -224,7 +210,6 @@ std::vector<BatchLaneOutcome> runTransientBatch(const MnaSystem& sys,
 
   const std::vector<Real> stops =
       transientStops(sys, t0, t1, dt, opt.useBreakpoints);
-  const bool sparse = useSparseSolver(opt.solver, n, opt.sparseThreshold);
   MnaSystem::EvalOptions eopt;
   eopt.gshunt = opt.gshunt;
 
@@ -271,8 +256,8 @@ std::vector<BatchLaneOutcome> runTransientBatch(const MnaSystem& sys,
         if (pending == 0) break;
         TraceSpan iterSpan(Phase::kNewton, "newton_iter_batch",
                            TraceDetail::kKernel);
-        batchEvalIteration(sys, batch, lanes, active, tNext, eopt, sparse,
-                           stampers, scratch, solo);
+        batchEvalIteration(sys, batch, lanes, active, tNext, eopt, stampers,
+                           scratch, solo);
         for (size_t l = 0; l < L; ++l) {
           if (!active[l]) continue;
           LaneState& ln = lanes[l];

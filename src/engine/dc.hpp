@@ -5,7 +5,6 @@
 #pragma once
 
 #include "engine/mna.hpp"
-#include "numeric/dense_lu.hpp"
 #include "numeric/sparse_lu.hpp"
 #include "util/telemetry.hpp"
 
@@ -21,12 +20,8 @@ struct DcOptions {
   int gminSteps = 12;        // homotopy ladder length (0 disables)
   int sourceSteps = 10;      // source-stepping ladder (0 disables)
   bool quiet = true;
-  /// Linear-solver backend; kAuto switches to sparse at sparseThreshold
-  /// unknowns (the sparse path reuses one symbolic factorization across
-  /// all Newton iterations).
-  LinearSolverKind solver = LinearSolverKind::kAuto;
-  size_t sparseThreshold = kSparseSolverThreshold;
-  /// Fill-reducing column pre-ordering for the sparse backend.
+  /// Fill-reducing column pre-ordering for the sparse LU (one symbolic
+  /// factorization is reused across all Newton iterations).
   OrderingKind ordering = OrderingKind::kAmd;
 
   // Pseudo-arclength continuation (the escalation behind the ladders).
@@ -59,8 +54,6 @@ struct DcResult {
 /// source stepping re-solve the same structure up to ~23 times).
 struct DcWorkspace {
   RealVector f;
-  RealMatrix g;
-  DenseLU<Real> dlu;
   RealSparse gsp;
   SparseLU<Real> slu;
   bool sluSymbolic = false;

@@ -59,7 +59,7 @@ void mnaRebuildPattern(RealSparse* m, size_t n,
   for (size_t i = 0; i < diagonals; ++i) {
     trips.push_back({static_cast<int>(i), static_cast<int>(i), 0.0});
   }
-  *m = RealSparse::fromTriplets(n, n, trips);
+  *m = RealSparse::fromTriplets(n, n, trips);  // fresh, untaped
   m->zeroValues();
 }
 
@@ -98,6 +98,9 @@ void MnaSystem::evalSparse(std::span<const Real> x, Real t, RealVector* f,
     s.setSourceScale(opt.sourceScale);
     s.setGmin(opt.gmin);
     for (const auto& dev : netlist_->devices()) dev->eval(s);
+    if (s.tapeMisses() > 0) {
+      telemetryCount(Counter::kStampTapeMisses, s.tapeMisses());
+    }
 
     if (!s.sparseMiss()) break;
     PSMN_CHECK(attempt == 0, "evalSparse: pattern miss after rebuild");

@@ -1,8 +1,9 @@
 // MNA system assembly: evaluates the netlist's residual
 //     F(x,t) = f(x,t) + d/dt q(x)
-// pieces (f, q) and Jacobians (G = df/dx, C = dq/dx) into dense or sparse
-// storage, and provides the mismatch/noise injection vectors used by the
-// sensitivity, noise, and LPTV analyses.
+// pieces (f, q) and Jacobians (G = df/dx, C = dq/dx) into sparse storage
+// (the engines) or dense storage (AC and the test oracle), and provides
+// the mismatch/noise injection vectors used by the sensitivity, noise, and
+// LPTV analyses.
 #pragma once
 
 #include <algorithm>
@@ -60,25 +61,15 @@ struct InjectionSource {
   }
 };
 
-/// Linear-solver backend selection shared by the DC and transient engines.
-/// kAuto picks sparse once the system is large enough that the O(n^3)
-/// dense factorization loses to the pattern-reusing sparse LU.
-enum class LinearSolverKind { kAuto, kDense, kSparse };
-
-/// Default kAuto crossover (MNA unknowns). Below this the dense path's
-/// cache friendliness wins; above it the sparse path's O(nnz) assembly and
-/// near-linear refactorization take over (see bench_kernels).
-inline constexpr size_t kSparseSolverThreshold = 40;
-
-inline bool useSparseSolver(LinearSolverKind kind, size_t n,
-                            size_t threshold = kSparseSolverThreshold) {
-  switch (kind) {
-    case LinearSolverKind::kDense: return false;
-    case LinearSolverKind::kSparse: return true;
-    case LinearSolverKind::kAuto: return n >= threshold;
-  }
-  return false;
-}
+/// Every engine (DC, transient, sensitivity, PSS, LPTV, PPV, batched
+/// sweeps) solves through the sparse backend at every system size: the
+/// cached-pattern assembly with its stamp tape and the pattern-reusing
+/// SparseLU. The dense backend survives only where the matrices are dense
+/// by construction (AC, the bordered shooting systems, the LPTV closure)
+/// and as the test oracle (evalDense, DenseLU). This constant is the
+/// unknown count from which the engines run sparse, i.e. 0: kept so that
+/// code choosing a backend by system size picks the one the engines use.
+inline constexpr size_t kSparseSolverThreshold = 0;
 
 /// Options for one MNA evaluation pass.
 struct MnaEvalOptions {
@@ -110,11 +101,12 @@ class MnaSystem {
   /// call (`g`/`c` empty) a symbolic pass runs the devices in triplet mode
   /// and freezes the union sparsity pattern — including every node-diagonal
   /// slot, so gshunt homotopy stamps in place. Subsequent calls zero the
-  /// stored values and stamp straight into the CSC slots: no heap
-  /// allocation. A stamp landing outside the cached pattern (e.g. a MOSFET
-  /// drain/source swap reaching a new position) triggers an automatic
-  /// pattern extension and re-stamp, so results are always exact; callers
-  /// caching factorizations should watch nonZeros() for pattern growth.
+  /// stored values and stamp straight into the CSC slots: the first such
+  /// pass records each matrix's stamp tape, later passes replay it (O(1)
+  /// per stamp, no heap allocation; see Stamper::attachSparse). A stamp
+  /// landing outside the cached pattern triggers an automatic pattern
+  /// extension and re-stamp, so results are always exact; callers caching
+  /// factorizations should watch nonZeros() for pattern growth.
   void evalSparse(std::span<const Real> x, Real t, RealVector* f,
                   RealVector* q, RealSparse* g, RealSparse* c,
                   const EvalOptions& opt = {}) const;
@@ -149,8 +141,9 @@ class MnaSystem {
 
 /// Rebuilds `m` as a pattern matrix: union of its existing pattern, the
 /// accumulated triplets, and `diagonals` leading diagonal slots (G gets the
-/// node diagonals so gshunt homotopy stamps in place). Values are zeroed;
-/// the caller re-stamps through the slots. Shared by MnaSystem::evalSparse
+/// node diagonals so gshunt homotopy stamps in place). Values are zeroed
+/// and the stamp tape starts empty; the caller re-stamps through the
+/// slots, recording a new tape. Shared by MnaSystem::evalSparse
 /// and the batched evaluator (engine/batch_eval.cpp).
 void mnaRebuildPattern(RealSparse* m, size_t n,
                        std::vector<Triplet<Real>>& trips, size_t diagonals);

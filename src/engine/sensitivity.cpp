@@ -1,18 +1,25 @@
 #include "engine/sensitivity.hpp"
 
-#include "engine/ac.hpp"
-#include "numeric/dense_lu.hpp"
+#include "numeric/sparse_lu.hpp"
 
 namespace psmn {
+namespace {
+
+/// G = df/dx at the operating point, factored on the engines' backend.
+SparseLU<Real> factorG(const MnaSystem& sys, std::span<const Real> xop) {
+  RealSparse g;
+  sys.evalSparse(xop, 0.0, nullptr, nullptr, &g, nullptr);
+  return SparseLU<Real>(g);
+}
+
+}  // namespace
 
 RealVector solveDcSensitivity(const MnaSystem& sys, std::span<const Real> xop,
                               int outIndex,
                               std::span<const InjectionSource> sources) {
   PSMN_CHECK(outIndex >= 0 && outIndex < static_cast<int>(sys.size()),
              "bad output index");
-  RealMatrix g;
-  linearize(sys, xop, &g, nullptr);
-  DenseLU<Real> lu(g);
+  const SparseLU<Real> lu = factorG(sys, xop);
 
   RealVector eout(sys.size(), 0.0);
   eout[outIndex] = 1.0;
@@ -35,9 +42,7 @@ RealVector solveDcSensitivityDirect(const MnaSystem& sys,
                                     std::span<const InjectionSource> sources) {
   PSMN_CHECK(outIndex >= 0 && outIndex < static_cast<int>(sys.size()),
              "bad output index");
-  RealMatrix g;
-  linearize(sys, xop, &g, nullptr);
-  DenseLU<Real> lu(g);
+  const SparseLU<Real> lu = factorG(sys, xop);
 
   RealVector out;
   out.reserve(sources.size());

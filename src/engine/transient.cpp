@@ -91,16 +91,8 @@ NewtonTailOutcome newtonIterationTail(const MnaSystem& sys,
                                       int iter) {
   const size_t n = sys.size();
   // Assemble J = G + a*C from the evaluation the caller just wrote into ws.
-  if (ws.sparse) {
-    if (ws.jac.assemble(ws.gsp, ws.csp, a)) {
-      ws.sluSymbolic = false;  // pattern changed: next factor is symbolic
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      auto jrow = ws.j.row(i);
-      const auto crow = ws.c.row(i);
-      for (size_t col = 0; col < n; ++col) jrow[col] += a * crow[col];
-    }
+  if (ws.jac.assemble(ws.gsp, ws.csp, a)) {
+    ws.sluSymbolic = false;  // pattern changed: next factor is symbolic
   }
   ++ws.stats.evals;
   ws.r.resize(n);
@@ -116,22 +108,17 @@ NewtonTailOutcome newtonIterationTail(const MnaSystem& sys,
     return NewtonTailOutcome::kFailed;
   }
 
-  // Factor (sparse: numeric refactorization on the kept pivot sequence,
-  // full factor only on the first step or after a pivot breakdown).
+  // Factor: numeric refactorization on the kept pivot sequence, full
+  // factor only on the first step or after a pivot breakdown.
   try {
-    if (ws.sparse) {
-      if (ws.sluSymbolic && ws.slu.refactor(ws.jac.matrix)) {
-        ++ws.stats.refactorizations;
-      } else {
-        ws.slu.factor(ws.jac.matrix, 0.1, ws.ordering);
-        ws.sluSymbolic = true;
-        ++ws.stats.factorizations;
-      }
-      ws.stats.factorNnz = ws.slu.factorNonZeros();
+    if (ws.sluSymbolic && ws.slu.refactor(ws.jac.matrix)) {
+      ++ws.stats.refactorizations;
     } else {
-      ws.dlu.factor(ws.j);
+      ws.slu.factor(ws.jac.matrix, 0.1, opt.ordering);
+      ws.sluSymbolic = true;
       ++ws.stats.factorizations;
     }
+    ws.stats.factorNnz = ws.slu.factorNonZeros();
   } catch (const NumericalError&) {
     recordStepFailure(ws, sys, "tran-newton/factorization", iter, resNorm,
                       t1, /*nonFinite=*/false);
@@ -140,8 +127,7 @@ NewtonTailOutcome newtonIterationTail(const MnaSystem& sys,
 
   // Newton direction, solved in place on the negated residual.
   for (Real& v : ws.r) v = -v;
-  if (ws.sparse) ws.slu.solveInPlace(ws.r);
-  else ws.dlu.solveInPlace(ws.r);
+  ws.slu.solveInPlace(ws.r);
   ++ws.stats.solves;
 
   const Real stepNorm = maxAbsVec(ws.r);
@@ -211,7 +197,6 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
                    RealVector& qd, const RealVector* qm1,
                    const TranOptions& opt, TransientWorkspace& ws) {
   TraceSpan stepSpan(Phase::kStep, "tran_step", TraceDetail::kStep);
-  ws.chooseBackend(sys.size(), opt);
   const Real t1 = t + h;
   const IntegrationMethod m = stepMethod(method, beStep, qm1 != nullptr);
   const Real a = stepCoefficients(m, h, q, qd, qm1, ws.rhsQ);
@@ -224,11 +209,7 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
   bool converged = false;
   for (int iter = 0; iter < opt.maxNewton; ++iter) {
     TraceSpan iterSpan(Phase::kNewton, "newton_iter", TraceDetail::kKernel);
-    if (ws.sparse) {
-      sys.evalSparse(ws.x1, t1, &ws.f, &ws.q1, &ws.gsp, &ws.csp, eopt);
-    } else {
-      sys.evalDense(ws.x1, t1, &ws.f, &ws.q1, &ws.j, &ws.c, eopt);
-    }
+    sys.evalSparse(ws.x1, t1, &ws.f, &ws.q1, &ws.gsp, &ws.csp, eopt);
     const NewtonTailOutcome outcome =
         newtonIterationTail(sys, opt, ws, a, t1, iter);
     if (outcome == NewtonTailOutcome::kFailed) return false;
@@ -324,8 +305,6 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
     DcOptions dopt;
     dopt.time = t0;
     dopt.gshunt = opt.gshunt;
-    dopt.solver = opt.solver;
-    dopt.sparseThreshold = opt.sparseThreshold;
     dopt.ordering = opt.ordering;
     x = solveDc(sys, dopt).x;
   }

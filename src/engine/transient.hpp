@@ -6,18 +6,16 @@
 // integration (no DAE ringing) and breakpoints restart cleanly with a BE
 // step.
 //
-// The Newton kernel runs on one of two linear-solver backends selected by
-// system size (TranOptions::solver): the dense path factors G + a*C with
-// DenseLU each iteration; the sparse path stamps into a cached sparsity
-// pattern and reuses the symbolic factorization (SparseLU::refactor) across
-// iterations and time steps. All per-step scratch lives in a
-// TransientWorkspace so the steady-state stepping loop performs no heap
-// allocation (tests/test_alloc.cpp pins this down).
+// The Newton kernel stamps into a cached sparsity pattern (replaying the
+// pattern's stamp tape, O(1) per stamp) and reuses the symbolic
+// factorization (SparseLU::refactor) across iterations and time steps, at
+// every system size. All per-step scratch lives in a TransientWorkspace so
+// the steady-state stepping loop performs no heap allocation
+// (tests/test_alloc.cpp pins this down).
 #pragma once
 
 #include "engine/dc.hpp"
 #include "engine/mna.hpp"
-#include "numeric/dense_lu.hpp"
 #include "numeric/sparse_lu.hpp"
 
 namespace psmn {
@@ -35,12 +33,8 @@ struct TranOptions {
   Real gshunt = 0.0;
   bool useBreakpoints = true;
   bool storeStates = true;
-  /// Linear-solver backend; kAuto switches to sparse at sparseThreshold
-  /// unknowns.
-  LinearSolverKind solver = LinearSolverKind::kAuto;
-  size_t sparseThreshold = kSparseSolverThreshold;
-  /// Fill-reducing column pre-ordering used by the sparse backend's
-  /// symbolic analysis (numeric refactorizations inherit it).
+  /// Fill-reducing column pre-ordering used by the symbolic analysis
+  /// (numeric refactorizations inherit it).
   OrderingKind ordering = OrderingKind::kAmd;
   /// Adaptive timestep control (fixed grid when false). The nominal dt is
   /// the starting step; it shrinks/grows within [dtMin, dtMax].
@@ -64,35 +58,24 @@ struct TranOptions {
 /// reused, so steps after the first do not allocate.
 ///
 /// After a successful step the workspace exposes the accepted-point
-/// linearization: `dlu`/`slu` hold the factored J = G + a*C at the
-/// accepted (x, t+h) (a = 1/h for the BE steps the sensitivity engine
-/// takes), and `c`/`csp` hold C there. The sensitivity engine solves
-/// against it via solveAcceptedInPlace() instead of re-evaluating and
-/// re-factoring.
+/// linearization: `slu` holds the factored J = G + a*C at the accepted
+/// (x, t+h) (a = 1/h for the BE steps the sensitivity engine takes), and
+/// `gsp`/`csp` hold G and C there. The sensitivity engine solves against
+/// it via solveAcceptedInPlace() instead of re-evaluating and re-factoring.
 struct TransientWorkspace {
-  // Backend and ordering, fixed on first use.
-  bool sparse = false;
-  bool chosen = false;
-  OrderingKind ordering = OrderingKind::kAmd;
-
   // Scratch vectors.
   RealVector f, q1, r, rhsQ, x1, qd1;
 
-  // Dense backend: j accumulates G then J = G + a*C in place; c holds C.
-  RealMatrix j, c;
-  DenseLU<Real> dlu;
-
-  // Sparse backend: cached-pattern G/C and the cached-pattern Jacobian
-  // assembler (J = G + a*C with precomputed value-scatter maps).
+  // Cached-pattern G/C (each carrying its stamp tape) and the
+  // cached-pattern Jacobian assembler (J = G + a*C with precomputed
+  // value-scatter maps).
   RealSparse gsp, csp;
   MergedSparseAssembler<Real> jac;
   SparseLU<Real> slu;
   bool sluSymbolic = false;  // slu carries a reusable symbolic factorization
 
   // Integration coefficient `a` of the most recent step (J = G + a*C; 1/h
-  // for BE). Lets consumers of the accepted-step linearization recover
-  // G = J - a*C from the dense workspace without a re-evaluation (the
-  // sparse workspace keeps G and C separately). Set by integrateStep.
+  // for BE). Set by integrateStep.
   Real acceptedA = 0.0;
 
   // Cost counters, cumulative over the workspace lifetime (the old
@@ -108,13 +91,6 @@ struct TransientWorkspace {
   FailureDiagnostics lastFailure;
   bool haveFailure = false;
   bool lastFailureNonFinite = false;
-
-  void chooseBackend(size_t n, const TranOptions& opt) {
-    if (chosen) return;
-    sparse = useSparseSolver(opt.solver, n, opt.sparseThreshold);
-    ordering = opt.ordering;
-    chosen = true;
-  }
 
   /// Prepares a long-lived workspace for a fresh run over new device
   /// values (the process-sweep workers reuse one workspace across their
@@ -134,15 +110,13 @@ struct TransientWorkspace {
 
   /// Solves J y = b in place against the accepted-step factorization.
   void solveAcceptedInPlace(std::span<Real> b, size_t nrhs = 1) const {
-    if (sparse) slu.solveManyInPlace(b, nrhs);
-    else dlu.solveManyInPlace(b, nrhs);
+    slu.solveManyInPlace(b, nrhs);
   }
   /// Concurrently callable variant: threads sharing the accepted-step
   /// factorization solve disjoint column blocks, one scratch per thread.
   void solveAcceptedInPlace(std::span<Real> b, size_t nrhs,
                             LuSolveScratch<Real>& scratch) const {
-    if (sparse) slu.solveManyInPlace(b, nrhs, scratch);
-    else dlu.solveManyInPlace(b, nrhs, scratch);
+    slu.solveManyInPlace(b, nrhs, scratch);
   }
 };
 
@@ -210,8 +184,8 @@ Real stepCoefficients(IntegrationMethod m, Real h, const RealVector& q,
 enum class NewtonTailOutcome { kContinue, kConverged, kFailed };
 
 /// One Newton iteration's post-evaluation tail: the caller has just
-/// evaluated the system at ws.x1/t1 into ws.f/ws.q1 and ws.gsp/ws.csp
-/// (sparse) or ws.j/ws.c (dense). Assembles J = G + a*C, forms the
+/// evaluated the system at ws.x1/t1 into ws.f/ws.q1 and ws.gsp/ws.csp.
+/// Assembles J = G + a*C, forms the
 /// residual, factors, solves, and applies the clamped update to ws.x1.
 /// kFailed records the post-mortem on ws.
 NewtonTailOutcome newtonIterationTail(const MnaSystem& sys,

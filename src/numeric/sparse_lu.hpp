@@ -1,8 +1,7 @@
 // Sparse LU factorization: left-looking Gilbert–Peierls with threshold
 // partial pivoting and a fill-reducing column pre-ordering (AMD by
-// default; see numeric/ordering.hpp). This is the solver used for
-// netlists too large for the dense path; for the paper's benchmark
-// circuits either backend works and tests assert that they agree.
+// default; see numeric/ordering.hpp). Every engine solves through it, at
+// every system size; DenseLU remains its test oracle.
 //
 // Designed around the transient engine's access pattern:
 //   * factor() once does the symbolic work (column ordering, pivot

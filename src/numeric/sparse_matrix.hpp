@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -22,11 +23,41 @@ struct Triplet {
   T value{};
 };
 
+/// One recorded assembly stamp: the (row, col) position a stamp call
+/// addressed, packed into one key so a replay checks it with a single
+/// compare, and the value slot find() resolved it to. A recorded tape ends
+/// in one kStampTapeEnd entry, which no stamp position matches.
+struct StampTapeEntry {
+  uint64_t key = 0;
+  int slot = 0;
+};
+inline constexpr uint64_t stampKey(int row, int col) {
+  return (uint64_t{static_cast<uint32_t>(row)} << 32) |
+         static_cast<uint32_t>(col);
+}
+inline constexpr uint64_t kStampTapeEnd = ~uint64_t{0};
+
 template <class T>
 class SparseMatrix {
  public:
   SparseMatrix() = default;
   SparseMatrix(size_t rows, size_t cols) : rows_(rows), cols_(cols) {}
+  // Copies take the pattern and values but never the stamp tape (see
+  // stampTape()); moves keep it, since the pattern moves with it.
+  SparseMatrix(const SparseMatrix& o)
+      : rows_(o.rows_), cols_(o.cols_), colPtr_(o.colPtr_),
+        rowIdx_(o.rowIdx_), values_(o.values_) {}
+  SparseMatrix& operator=(const SparseMatrix& o) {
+    rows_ = o.rows_;
+    cols_ = o.cols_;
+    colPtr_ = o.colPtr_;
+    rowIdx_ = o.rowIdx_;
+    values_ = o.values_;
+    tape_.clear();
+    return *this;
+  }
+  SparseMatrix(SparseMatrix&&) = default;
+  SparseMatrix& operator=(SparseMatrix&&) = default;
 
   /// Builds CSC from triplets, summing duplicates.
   static SparseMatrix fromTriplets(size_t rows, size_t cols,
@@ -69,6 +100,13 @@ class SparseMatrix {
   /// assembly pattern before re-stamping.
   void zeroValues() { std::fill(values_.begin(), values_.end(), T{}); }
 
+  /// Stamp tape: the slot sequence of the assembly passes into this
+  /// pattern, recorded and replayed by Stamper so a repeated pass resolves
+  /// each stamp in O(1) instead of a find(). A cache bound to the pattern:
+  /// a pattern rebuild (fromTriplets) starts it empty, and copies start
+  /// empty too, so only the matrix that is stamped into ever carries one.
+  std::vector<StampTapeEntry>& stampTape() { return tape_; }
+
   /// y = A x.
   std::vector<T> multiply(std::span<const T> x) const;
 
@@ -83,6 +121,7 @@ class SparseMatrix {
   std::vector<int> colPtr_;  // size cols+1
   std::vector<int> rowIdx_;  // size nnz, sorted within each column
   std::vector<T> values_;    // size nnz
+  std::vector<StampTapeEntry> tape_;
 };
 
 using RealSparse = SparseMatrix<Real>;

@@ -21,20 +21,10 @@ struct LptvSlotScratch {
   LuSolveScratch<Cplx> lu;
 };
 
-CplxMatrix stepMatrix(const RealMatrix& g, const RealMatrix& c, Real invH,
-                      Cplx jw) {
-  const size_t n = g.rows();
-  CplxMatrix k(n, n);
-  const Cplx coef = invH + jw;
-  for (size_t i = 0; i < n; ++i)
-    for (size_t j = 0; j < n; ++j) k(i, j) = g(i, j) + coef * c(i, j);
-  return k;
-}
-
 // ---------------------------------------------------------------------
-// Backend-agnostic access to the PSS orbit linearizations: the PSS result
-// stores G_k/C_k either dense or in the sparse workspace's cached pattern;
-// the cyclic solves below only touch them through these kernels.
+// Access to the PSS orbit linearizations: the PSS result stores G_k/C_k in
+// the workspace's cached pattern; the cyclic solves below only touch them
+// through these kernels.
 
 /// out = (C_{k-1} v) / h  (the step coupling D_k applied to a complex
 /// envelope; C is real, so this is two real sparse multiplies in one).
@@ -42,24 +32,14 @@ void applyD(const PssResult& pss, size_t k, std::span<const Cplx> v,
             CplxVector& out, Real invH) {
   const size_t n = v.size();
   out.assign(n, Cplx{});
-  if (pss.sparseLinearizations) {
-    const RealSparse& c = pss.cSpMats[k - 1];
-    const auto ptr = c.colPointers();
-    const auto idx = c.rowIndices();
-    const auto val = c.values();
-    for (size_t j = 0; j < n; ++j) {
-      const Cplx xj = v[j];
-      if (xj == Cplx{}) continue;
-      for (int p = ptr[j]; p < ptr[j + 1]; ++p) out[idx[p]] += val[p] * xj;
-    }
-  } else {
-    const RealMatrix& c = pss.cMats[k - 1];
-    for (size_t i = 0; i < n; ++i) {
-      Cplx acc{};
-      const auto row = c.row(i);
-      for (size_t j = 0; j < n; ++j) acc += row[j] * v[j];
-      out[i] = acc;
-    }
+  const RealSparse& c = pss.cSpMats[k - 1];
+  const auto ptr = c.colPointers();
+  const auto idx = c.rowIndices();
+  const auto val = c.values();
+  for (size_t j = 0; j < n; ++j) {
+    const Cplx xj = v[j];
+    if (xj == Cplx{}) continue;
+    for (int p = ptr[j]; p < ptr[j + 1]; ++p) out[idx[p]] += val[p] * xj;
   }
   for (auto& o : out) o *= invH;
 }
@@ -68,50 +48,28 @@ void applyD(const PssResult& pss, size_t k, std::span<const Cplx> v,
 void applyDT(const PssResult& pss, size_t k, std::span<const Cplx> v,
              CplxVector& out, Real invH) {
   const size_t n = v.size();
-  if (pss.sparseLinearizations) {
-    const RealSparse& c = pss.cSpMats[k - 1];
-    const auto ptr = c.colPointers();
-    const auto idx = c.rowIndices();
-    const auto val = c.values();
-    out.resize(n);
-    for (size_t j = 0; j < n; ++j) {
-      Cplx acc{};
-      for (int p = ptr[j]; p < ptr[j + 1]; ++p) acc += val[p] * v[idx[p]];
-      out[j] = acc * invH;
-    }
-  } else {
-    const RealMatrix& c = pss.cMats[k - 1];
-    out.assign(n, Cplx{});
-    for (size_t i = 0; i < n; ++i) {
-      const Cplx vi = v[i];
-      if (vi == Cplx{}) continue;
-      const auto row = c.row(i);
-      for (size_t j = 0; j < n; ++j) out[j] += row[j] * vi;
-    }
-    for (auto& o : out) o *= invH;
+  const RealSparse& c = pss.cSpMats[k - 1];
+  const auto ptr = c.colPointers();
+  const auto idx = c.rowIndices();
+  const auto val = c.values();
+  out.resize(n);
+  for (size_t j = 0; j < n; ++j) {
+    Cplx acc{};
+    for (int p = ptr[j]; p < ptr[j + 1]; ++p) acc += val[p] * v[idx[p]];
+    out[j] = acc * invH;
   }
 }
 
 /// The LPTV factor cache: K_k = G_k + (1/h + j w) C_k factored for every
 /// grid step k = 1..M, kept for the closure and forward/adjoint passes.
-/// Dense results use DenseLU as before; sparse results assemble K into one
-/// merged complex pattern (cached scatter maps, like the transient
-/// workspace's Jacobian) and factor with SparseLU — the symbolic
-/// factorization of step 1 is inherited by every later step through a
-/// copy + numeric refactor, so the O(n^3)-per-step dense cost collapses to
-/// O(fill) per step.
+/// K is assembled into one merged complex pattern (cached scatter maps,
+/// like the transient workspace's Jacobian) and factored with SparseLU —
+/// the symbolic factorization of step 1 is inherited by every later step
+/// through a copy + numeric refactor, so each step costs O(fill).
 class StepFactors {
  public:
   StepFactors(const PssResult& pss, Real invH, Cplx jw) {
     const size_t m = pss.stepCount();
-    sparse_ = pss.sparseLinearizations;
-    if (!sparse_) {
-      dense_.reserve(m);
-      for (size_t k = 1; k <= m; ++k) {
-        dense_.emplace_back(stepMatrix(pss.gMats[k], pss.cMats[k], invH, jw));
-      }
-      return;
-    }
     lus_.resize(m);
     const Cplx coef = invH + jw;
     MergedSparseAssembler<Cplx> kAsm;
@@ -137,39 +95,24 @@ class StepFactors {
 
   // k = 1..M selects the step factor, matching the cyclic system indexing.
   void solveInPlace(size_t k, std::span<Cplx> b) const {
-    if (sparse_) lus_[k - 1].solveInPlace(b);
-    else dense_[k - 1].solveInPlace(b);
+    lus_[k - 1].solveInPlace(b);
   }
-  void solveManyInPlace(size_t k, std::span<Cplx> b, size_t nrhs) const {
-    if (sparse_) lus_[k - 1].solveManyInPlace(b, nrhs);
-    else dense_[k - 1].solveManyInPlace(b, nrhs);
-  }
-  /// Concurrently callable variant: threads sharing step factor k solve
-  /// disjoint column blocks, one scratch per slot.
+  /// Concurrently callable: threads sharing step factor k solve disjoint
+  /// column blocks, one scratch per slot.
   void solveManyInPlace(size_t k, std::span<Cplx> b, size_t nrhs,
                         LuSolveScratch<Cplx>& scratch) const {
-    if (sparse_) lus_[k - 1].solveManyInPlace(b, nrhs, scratch);
-    else dense_[k - 1].solveManyInPlace(b, nrhs, scratch);
+    lus_[k - 1].solveManyInPlace(b, nrhs, scratch);
   }
   void solveTransposedInPlace(size_t k, std::span<Cplx> b) const {
-    if (sparse_) lus_[k - 1].solveTransposedInPlace(b);
-    else dense_[k - 1].solveTransposedInPlace(b);
-  }
-  void solveTransposedManyInPlace(size_t k, std::span<Cplx> b,
-                                  size_t nrhs) const {
-    if (sparse_) lus_[k - 1].solveTransposedManyInPlace(b, nrhs);
-    else dense_[k - 1].solveTransposedManyInPlace(b, nrhs);
+    lus_[k - 1].solveTransposedInPlace(b);
   }
   /// Concurrently callable variant (see solveManyInPlace above).
   void solveTransposedManyInPlace(size_t k, std::span<Cplx> b, size_t nrhs,
                                   LuSolveScratch<Cplx>& scratch) const {
-    if (sparse_) lus_[k - 1].solveTransposedManyInPlace(b, nrhs, scratch);
-    else dense_[k - 1].solveTransposedManyInPlace(b, nrhs, scratch);
+    lus_[k - 1].solveTransposedManyInPlace(b, nrhs, scratch);
   }
 
  private:
-  bool sparse_ = false;
-  std::vector<DenseLU<Cplx>> dense_;
   std::vector<SparseLU<Cplx>> lus_;
 };
 
@@ -272,9 +215,8 @@ LptvSolver::LptvSolver(const MnaSystem& sys, const PssResult& pss,
                        LptvOptions opt)
     : sys_(&sys), pss_(&pss), opt_(opt) {
   PSMN_CHECK(pss.stepCount() > 0, "empty PSS result");
-  const size_t stored = pss.sparseLinearizations ? pss.gSpMats.size()
-                                                 : pss.gMats.size();
-  PSMN_CHECK(stored == pss.times.size(),
+  PSMN_CHECK(pss.gSpMats.size() == pss.times.size() &&
+                 pss.cSpMats.size() == pss.times.size(),
              "PSS result lacks stored linearizations");
 }
 
@@ -317,8 +259,7 @@ LptvSolution LptvSolver::solveDirect(std::span<const InjectionSource> sources,
   std::vector<std::vector<CplxVector>> b(ns);
   for (size_t s = 0; s < ns; ++s) b[s] = sourceEnvelope(sources[s], offsetFreq);
 
-  // Step-matrix factor cache K_k, k = 1..M (dense LU or pattern-sharing
-  // sparse LU depending on how the PSS stored its linearizations).
+  // Step-matrix factor cache K_k, k = 1..M (pattern-sharing sparse LU).
   const StepFactors lus(*pss_, invH, jw);
 
   // Pass 1: propagate homogeneous (B) and particular (alpha) parts.
@@ -453,26 +394,18 @@ CplxVector LptvSolver::solveAdjoint(std::span<const InjectionSource> sources,
     lus.solveTransposedInPlace(m, rhs);
     u[m] = std::move(rhs);
     // V_M = K_M^{-T} D_1^T. Column j of D_1^T is row j of D_1 = C_0/h;
-    // the sparse storage fills the whole column-major block in one CSC
-    // sweep: entry C_0(r, c) lands at block position (row c, column r).
-    // The assembly scatters across columns, so it stays serial; the
-    // transposed substitution partitions per column block.
+    // one CSC sweep fills the whole column-major block: entry C_0(r, c)
+    // lands at block position (row c, column r). The assembly scatters
+    // across columns, so it stays serial; the transposed substitution
+    // partitions per column block.
     std::fill(colBuf.begin(), colBuf.end(), Cplx{});
-    if (pss_->sparseLinearizations) {
-      const RealSparse& c0 = pss_->cSpMats[0];
-      const auto ptr = c0.colPointers();
-      const auto idx = c0.rowIndices();
-      const auto val = c0.values();
-      for (size_t cc = 0; cc < n; ++cc) {
-        for (int p = ptr[cc]; p < ptr[cc + 1]; ++p) {
-          colBuf[static_cast<size_t>(idx[p]) * n + cc] = val[p] * invH;
-        }
-      }
-    } else {
-      for (size_t j = 0; j < n; ++j) {
-        for (size_t i = 0; i < n; ++i) {
-          colBuf[j * n + i] = pss_->cMats[0](j, i) * invH;
-        }
+    const RealSparse& c0 = pss_->cSpMats[0];
+    const auto ptr = c0.colPointers();
+    const auto idx = c0.rowIndices();
+    const auto val = c0.values();
+    for (size_t cc = 0; cc < n; ++cc) {
+      for (int p = ptr[cc]; p < ptr[cc + 1]; ++p) {
+        colBuf[static_cast<size_t>(idx[p]) * n + cc] = val[p] * invH;
       }
     }
     CplxMatrix vm(n, n);

@@ -6,10 +6,9 @@
 // and per sideband N, the stationary-equivalent PSD at N*f0 + f together
 // with the per-source contribution breakdown (paper SS V, eq. 10-11).
 //
-// The linear-solver backend follows the PSS result: a sparsely-integrated
-// orbit (PssOptions::solver, kAuto above the crossover) makes every cyclic
-// solve here ride the sparse LPTV factor cache; tests/test_rf_sparse.cpp
-// pins dense-vs-sparse agreement of the PSD readouts.
+// Every cyclic solve rides the sparse LPTV factor cache built from the
+// PSS orbit's stored linearizations; tests/test_rf_sparse.cpp pins the
+// PSD readouts against references frozen from the retired dense backend.
 #pragma once
 
 #include <optional>

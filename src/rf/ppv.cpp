@@ -8,29 +8,12 @@
 namespace psmn {
 namespace {
 
-/// One backward-sweep step on dense linearizations:
-/// z_k = (G_k + C_k/h)^{-T} y_k;  y_{k-1} = (C_{k-1}/h)^T z_k.
-void sweepStepDense(const PssResult& pss, size_t k, Real h, RealVector& y,
-                    RealVector& zk) {
-  const size_t n = y.size();
-  RealMatrix j = pss.gMats[k];
-  for (size_t r = 0; r < n; ++r) {
-    auto jr = j.row(r);
-    const auto cr = pss.cMats[k].row(r);
-    for (size_t c = 0; c < n; ++c) jr[c] += cr[c] / h;
-  }
-  DenseLU<Real> luJ(j);
-  zk = luJ.solveTransposed(y);
-  RealVector yPrev = matvecT(pss.cMats[k - 1], std::span<const Real>(zk));
-  for (Real& v : yPrev) v /= h;
-  y = std::move(yPrev);
-}
-
-/// Sparse backward sweep: assembles J_k = G_k + C_k/h into one merged
-/// cached pattern and reuses the symbolic factorization downward through
-/// the orbit (numeric refactor per step, exactly like the transient
+/// One backward-sweep step z_k = (G_k + C_k/h)^{-T} y_k;
+/// y_{k-1} = (C_{k-1}/h)^T z_k. Assembles J_k into one merged cached
+/// pattern and reuses the symbolic factorization downward through the
+/// orbit (numeric refactor per step, exactly like the transient
 /// workspace), with the transposed solve gathering over the kept pattern.
-struct SparseSweep {
+struct BackwardSweep {
   MergedSparseAssembler<Real> jAsm;
   SparseLU<Real> lu;
   bool symbolic = false;
@@ -91,13 +74,8 @@ PpvResult computePpv(const MnaSystem& sys, const PssResult& pss) {
   // Backward sweep: y_M = w_x; z_k = J_k^{-T} y_k; y_{k-1} = D_k^T z_k.
   res.z.assign(m + 1, RealVector());
   RealVector y = res.wx;
-  SparseSweep sweep;
-  for (size_t k = m; k >= 1; --k) {
-    RealVector zk;
-    if (pss.sparseLinearizations) sweep.step(pss, k, h, y, zk);
-    else sweepStepDense(pss, k, h, y, zk);
-    res.z[k] = std::move(zk);
-  }
+  BackwardSweep sweep;
+  for (size_t k = m; k >= 1; --k) sweep.step(pss, k, h, y, res.z[k]);
   return res;
 }
 

@@ -52,11 +52,6 @@ struct PssOptions {
   int shuntHomotopyRungs = 3;
   Real shuntHomotopyStart = 1e-4;
   bool quiet = true;
-  /// Linear-solver backend for the period integration, the warmup DC solve,
-  /// and the monodromy propagation; kAuto switches to sparse at
-  /// sparseThreshold unknowns (same crossover as the transient engine).
-  LinearSolverKind solver = LinearSolverKind::kAuto;
-  size_t sparseThreshold = kSparseSolverThreshold;
   /// Fill-reducing ordering for every sparse factorization downstream of
   /// this solve: the period integration, and — via PssResult::ordering —
   /// the LPTV step factors, pnoise, and the PPV backward sweep.
@@ -81,12 +76,11 @@ struct PssWorkspace {
   TransientWorkspace tran;
   RealVector q, qd;        // charge state for the BE stepping kernel
   // Monodromy propagation scratch: n*n column-major right-hand-side block
-  // for the batched accepted-step solve (both backends), plus one LU solve
-  // scratch per pool slot for the column-partitioned fan-out.
+  // for the batched accepted-step solve, plus one LU solve scratch per
+  // pool slot for the column-partitioned fan-out.
   RealVector rhsBuf;
   std::vector<LuSolveScratch<Real>> solveScratch;
-  RealMatrix cPrevDense;   // C at the previous grid point
-  RealSparse cPrevSparse;
+  RealSparse cPrev;        // C at the previous grid point
 };
 
 struct PssResult {
@@ -103,16 +97,11 @@ struct PssResult {
   /// to shooting tolerance.
   std::vector<Real> times;
   std::vector<RealVector> states;
-  /// Linearization along the orbit at times[k], k=0..M, in ONE of two
-  /// backends: dense gMats/cMats, or (sparseLinearizations) cached-pattern
-  /// gSpMats/cSpMats from the sparse workspace. The LPTV and PPV solvers
-  /// consume whichever is present.
-  bool sparseLinearizations = false;
-  /// Ordering the orbit was factored with; consumers of the stored sparse
+  /// Linearization G_k/C_k along the orbit at times[k], k=0..M, in the
+  /// workspace's cached pattern (the LPTV and PPV solvers consume them).
+  /// Ordering the orbit was factored with; consumers of the stored
   /// linearizations (LPTV step factors, PPV sweep) apply the same one.
   OrderingKind ordering = OrderingKind::kAmd;
-  std::vector<RealMatrix> gMats;
-  std::vector<RealMatrix> cMats;
   std::vector<RealSparse> gSpMats;
   std::vector<RealSparse> cSpMats;
   RealMatrix monodromy;

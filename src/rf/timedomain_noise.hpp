@@ -7,8 +7,8 @@
 //   sigma(t_k)^2 = sum_i |p^{(i)}_k[out]|^2 * sigma_i^2.
 // tests/test_mc_validation.cpp cross-checks this estimate against the
 // sample sigma of seeded Monte-Carlo PSS re-solves (the paper's Table II
-// comparison in miniature), and tests/test_rf_sparse.cpp pins the
-// dense-vs-sparse backend agreement of sigma(t).
+// comparison in miniature), and tests/test_rf_sparse.cpp pins sigma(t)
+// against a reference frozen from the retired dense backend.
 #pragma once
 
 #include "rf/pnoise.hpp"

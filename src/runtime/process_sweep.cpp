@@ -50,8 +50,6 @@ void writeTranOptions(WireWriter& w, const TranOptions& o) {
   w.f64(o.gshunt);
   w.boolean(o.useBreakpoints);
   w.boolean(o.storeStates);
-  w.u8(static_cast<uint8_t>(o.solver));
-  w.u64(o.sparseThreshold);
   w.u8(static_cast<uint8_t>(o.ordering));
   w.boolean(o.adaptive);
   w.f64(o.reltol);
@@ -69,8 +67,6 @@ void readTranOptions(WireReader& r, TranOptions& o) {
   o.gshunt = r.f64();
   o.useBreakpoints = r.boolean();
   o.storeStates = r.boolean();
-  o.solver = static_cast<LinearSolverKind>(r.u8());
-  o.sparseThreshold = r.u64();
   o.ordering = static_cast<OrderingKind>(r.u8());
   o.adaptive = r.boolean();
   o.reltol = r.f64();

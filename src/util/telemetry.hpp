@@ -45,7 +45,7 @@ namespace psmn {
 /// fields (DcResult::iterations, PssResult::newtonIterations, the
 /// TransientWorkspace factorization counters). All counts are cumulative
 /// over the producing call; `factorNnz` is the nnz(L+U) of the most
-/// recent sparse factorization (0 on the dense backend).
+/// recent sparse factorization (0 when the call factored nothing).
 struct SolveStats {
   uint64_t newtonIterations = 0;  // Newton iterations (all strategies)
   uint64_t steps = 0;             // accepted integration steps
@@ -103,6 +103,7 @@ enum class Counter : uint8_t {
   kScenarioRetries,    // scenario sweep: extra attempts taken
   kBatchEvals,         // batched eval: structural walks stamping many lanes
   kBatchSymbolicReuse, // batched eval: lanes that reused a shared pattern
+  kStampTapeMisses,    // sparse assembly: replayed stamps that missed the tape
   kCount_
 };
 inline constexpr size_t kNumCounters = static_cast<size_t>(Counter::kCount_);

@@ -7,7 +7,10 @@
 //     match central differences of F/Q under setMismatchDelta.
 // This is the netlist-level contract the Newton solvers and the
 // sensitivity/pseudo-noise flows rely on: any analytic-derivative typo in
-// any device shows up as a disagreement here.
+// any device shows up as a disagreement here. At the same bias points the
+// production assembly — CSC slot stamping replaying the pattern's stamp
+// tape — must reproduce, bit for bit, an untaped find() pass and the dense
+// oracle (checkTapedAssemblyAt).
 //
 // Numerics: differences use Richardson-extrapolated central differences
 // (steps h and h/2, error O(h^4)); plain O(h^2) differencing is not enough
@@ -32,6 +35,7 @@
 // never straddled and the check is deterministic run to run.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <sstream>
@@ -40,6 +44,7 @@
 
 #include "circuit/device_batch.hpp"
 #include "circuit/netlist.hpp"
+#include "engine/mna.hpp"
 #include "numeric/dense_matrix.hpp"
 
 namespace psmn::fdcheck {
@@ -256,18 +261,104 @@ inline void checkMismatchDerivativesAt(const Netlist& nl, const RealVector& x,
   }
 }
 
-/// Full sweep: Jacobians + mismatch columns at `biasPoints` seeded random
-/// iterates. Returns human-readable failure messages (empty = pass).
+/// One slot-stamping pass into the pattern matrices (what
+/// MnaSystem::evalSparse runs per Newton iteration). Returns false on a
+/// stamp outside the pattern; `misses` receives the tape misses.
+inline bool stampSlots(const Netlist& nl, const RealVector& x,
+                       const FdOptions& opt, RealSparse& g, RealSparse& c,
+                       RealVector& f, RealVector& q, uint64_t* misses) {
+  const size_t n = nl.unknownCount();
+  f.assign(n, 0.0);
+  q.assign(n, 0.0);
+  g.zeroValues();
+  c.zeroValues();
+  Stamper s(x, opt.time, n);
+  s.setGmin(opt.gmin);
+  s.attachVectors(&f, &q);
+  s.attachSparse(&g, &c);
+  for (const auto& dev : nl.devices()) dev->eval(s);
+  if (misses) *misses = s.tapeMisses();
+  return !s.sparseMiss();
+}
+
+/// Stamp-tape differential check at iterate x. `g`/`c` persist across the
+/// caller's calls, so their tapes were recorded at EARLIER iterates:
+/// region changes in between (a MOSFET drain/source swap reorders its
+/// stamps) exercise the miss-and-heal path. The taped pass must equal, bit
+/// for bit, a pass through untaped copies (every stamp resolved by find()
+/// and recorded afresh) and the dense oracle at the same iterate. Also
+/// returns the taped pass's tape misses through `misses`.
+inline void checkTapedAssemblyAt(const Netlist& nl, const RealVector& x,
+                                 const FdOptions& opt, RealSparse& g,
+                                 RealSparse& c,
+                                 std::vector<std::string>& failures,
+                                 uint64_t* misses = nullptr) {
+  const size_t n = nl.unknownCount();
+  RealVector f, q;
+  if (g.rows() != n || !stampSlots(nl, x, opt, g, c, f, q, misses)) {
+    // First point, or a stamp off the pattern: (re)discover and re-stamp,
+    // exactly like evalSparse's symbolic pass and miss fixup.
+    std::vector<Triplet<Real>> gTrips, cTrips;
+    Stamper ts(x, opt.time, n);
+    ts.setGmin(opt.gmin);
+    ts.attachTriplets(&gTrips, &cTrips);
+    for (const auto& dev : nl.devices()) dev->eval(ts);
+    mnaRebuildPattern(&g, n, gTrips, 0);
+    mnaRebuildPattern(&c, n, cTrips, 0);
+    if (!stampSlots(nl, x, opt, g, c, f, q, misses)) {
+      failures.push_back("taped assembly: pattern miss after rebuild");
+      return;
+    }
+  }
+  RealSparse gu = g, cu = c;  // copies carry no tape
+  RealVector fu, qu;
+  if (!gu.stampTape().empty() || !cu.stampTape().empty() ||
+      !stampSlots(nl, x, opt, gu, cu, fu, qu, nullptr)) {
+    failures.push_back("taped assembly: copied pattern is not untaped");
+    return;
+  }
+  RealVector fd, qd;
+  RealMatrix gd, cd;
+  evalAll(nl, x, opt, fd, qd, &gd, &cd);
+  const auto same = [&](const char* what, bool equal) {
+    if (!equal) {
+      failures.push_back(std::string("taped assembly: ") + what +
+                         " differs from the untaped/dense oracle");
+    }
+  };
+  const auto bits = [](std::span<const Real> a, std::span<const Real> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  same("G slots", bits(g.values(), gu.values()));
+  same("C slots", bits(c.values(), cu.values()));
+  same("f", bits(f, fu) && bits(f, fd));
+  same("q", bits(q, qu) && bits(q, qd));
+  const RealMatrix gs = g.toDense(), cs = c.toDense();
+  same("G", bits({gs.data(), n * n}, {gd.data(), n * n}));
+  same("C", bits({cs.data(), n * n}, {cd.data(), n * n}));
+}
+
+/// Full sweep: Jacobians + mismatch columns + taped assembly at
+/// `biasPoints` seeded random iterates. Returns human-readable failure
+/// messages (empty = pass).
 inline std::vector<std::string> checkNetlist(Netlist& nl,
                                              const FdOptions& opt = {}) {
   nl.finalize();
   std::vector<std::string> failures;
   std::mt19937_64 rng(opt.seed);
+  RealSparse gTaped, cTaped;
   for (int p = 0; p < opt.biasPoints; ++p) {
     const RealVector x = detail::randomIterate(nl, rng, opt);
     const size_t before = failures.size();
     checkJacobiansAt(nl, x, opt, failures);
     checkMismatchDerivativesAt(nl, x, opt, failures);
+    // Mirrored first: negating the iterate flips every device's terminal
+    // voltages (a MOSFET swaps drain and source), so the pass at x must
+    // heal a tape recorded in the opposite frame.
+    RealVector mirrored = x;
+    for (Real& v : mirrored) v = -v;
+    checkTapedAssemblyAt(nl, mirrored, opt, gTaped, cTaped, failures);
+    checkTapedAssemblyAt(nl, x, opt, gTaped, cTaped, failures);
     if (failures.size() > before) {
       std::ostringstream os;
       os << "(" << failures.size() - before << " failures at bias point " << p

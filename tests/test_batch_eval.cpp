@@ -8,9 +8,8 @@
 //     Richardson FD through a randomly chosen batch lane, and
 //     lane-crosstalk (a perturbation in lane k never leaks into lane w);
 //   * run level — runScenarioSweepBatched vs runScenarioSweep on MOSFET
-//     chain and BJT op-amp fixtures, dense and sparse backends, pool jobs
-//     1/2/8, including the failed-lane delegation to the scalar retry
-//     ladder;
+//     chain and BJT op-amp fixtures, pool jobs 1/2/8, including the
+//     failed-lane delegation to the scalar retry ladder;
 //   * engine level — MonteCarloEngine's batched path vs its scalar path,
 //     plus the kBatchEvals / kBatchSymbolicReuse telemetry counters.
 #include <gtest/gtest.h>
@@ -201,8 +200,7 @@ RunFixture followerFixture() {
   return {[] { return makeFollowerNetlist(); }, "out", 8e-9, 0.2e-9};
 }
 
-BatchSweepSpec specFor(const RunFixture& fx, size_t count, uint64_t seed,
-                       LinearSolverKind solver) {
+BatchSweepSpec specFor(const RunFixture& fx, size_t count, uint64_t seed) {
   BatchSweepSpec spec;
   spec.make = fx.make;
   spec.configure = [seed](Netlist& nl, size_t k) {
@@ -212,7 +210,6 @@ BatchSweepSpec specFor(const RunFixture& fx, size_t count, uint64_t seed,
   spec.outNode = fx.outNode;
   spec.t1 = fx.t1;
   spec.dt = fx.dt;
-  spec.tran.solver = solver;
   spec.retry.maxRetries = 2;
   spec.batch.enabled = true;
   spec.batch.lanes = 4;  // count=10 -> one ragged tail tile
@@ -276,12 +273,9 @@ void expectResultsBitIdentical(const std::vector<SweepResult>& a,
   }
 }
 
-class BatchSweepIdentity
-    : public ::testing::TestWithParam<LinearSolverKind> {};
-
-TEST_P(BatchSweepIdentity, ChainMatchesScalarAcrossJobCounts) {
+TEST(BatchSweepIdentity, ChainMatchesScalarAcrossJobCounts) {
   const BatchSweepSpec spec =
-      specFor(chainFixture(), /*count=*/10, /*seed=*/7, GetParam());
+      specFor(chainFixture(), /*count=*/10, /*seed=*/7);
   const auto scenarios = scalarScenarios(spec);
   ThreadPool p1(1), p2(2), p8(8);
   const auto scalar = runScenarioSweep(scenarios, p1);
@@ -294,9 +288,9 @@ TEST_P(BatchSweepIdentity, ChainMatchesScalarAcrossJobCounts) {
   expectResultsBitIdentical(scalar, b8);
 }
 
-TEST_P(BatchSweepIdentity, BjtFollowerMatchesScalar) {
+TEST(BatchSweepIdentity, BjtFollowerMatchesScalar) {
   const BatchSweepSpec spec =
-      specFor(followerFixture(), /*count=*/6, /*seed=*/3, GetParam());
+      specFor(followerFixture(), /*count=*/6, /*seed=*/3);
   const auto scenarios = scalarScenarios(spec);
   ThreadPool p1(1), p2(2);
   const auto scalar = runScenarioSweep(scenarios, p1);
@@ -304,15 +298,6 @@ TEST_P(BatchSweepIdentity, BjtFollowerMatchesScalar) {
   for (const auto& r : scalar) ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
   expectResultsBitIdentical(scalar, b2);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, BatchSweepIdentity,
-                         ::testing::Values(LinearSolverKind::kDense,
-                                           LinearSolverKind::kSparse),
-                         [](const auto& info) {
-                           return info.param == LinearSolverKind::kDense
-                                      ? "dense"
-                                      : "sparse";
-                         });
 
 TEST(BatchSweep, FailedLanesDelegateToScalarRetryLadder) {
   // A Newton budget of 1 cannot track the chain through its switching
@@ -322,7 +307,7 @@ TEST(BatchSweep, FailedLanesDelegateToScalarRetryLadder) {
   // of unrecovered lanes — must be exactly what a scalar-only sweep
   // produces.
   BatchSweepSpec spec =
-      specFor(chainFixture(), /*count=*/8, /*seed=*/11, LinearSolverKind::kAuto);
+      specFor(chainFixture(), /*count=*/8, /*seed=*/11);
   spec.tran.maxNewton = 1;
   const auto scenarios = scalarScenarios(spec);
   ThreadPool p1(1), p2(2);
@@ -336,8 +321,8 @@ TEST(BatchSweep, FailedLanesDelegateToScalarRetryLadder) {
 }
 
 TEST(BatchSweep, TelemetryCountsBatchedWalksAndPatternReuse) {
-  const BatchSweepSpec spec = specFor(chainFixture(), /*count=*/8,
-                                      /*seed=*/7, LinearSolverKind::kSparse);
+  const BatchSweepSpec spec =
+      specFor(chainFixture(), /*count=*/8, /*seed=*/7);
   TelemetryRegistry reg(2);
   ThreadPool pool(2);
   pool.attachTelemetry(&reg);

@@ -1,11 +1,9 @@
-// Golden dense-vs-sparse agreement tests for the RF engines: shooting PSS
-// (driven and autonomous), the LPTV solver, periodic noise, and the
-// time-domain statistical waveform must produce the same answers through
-// the dense per-step factorizations and through the sparse
-// TransientWorkspace path (cached pattern, SparseLU refactorization,
-// batched monodromy/closure solves). Fixtures sit on both sides of the
-// kAuto crossover so the sparse path is exercised where it is the default
-// and where it is forced.
+// Golden tests for the RF engines on the production (sparse) path:
+// shooting PSS (driven and autonomous), the LPTV solver, periodic noise,
+// the time-domain statistical waveform and the PPV sweep. Engine-level
+// results are compared against references frozen from the retired dense
+// backend (dense_reference.hpp); the stored orbit linearizations and the
+// monodromy are checked live against the evalDense / DenseLU oracles.
 //
 // Also holds the regression fixture for the autonomous-shooting FD step:
 // shooting on the ring oscillator must converge in a handful of
@@ -16,7 +14,9 @@
 #include <cmath>
 
 #include "circuit/stdcell.hpp"
+#include "dense_reference.hpp"
 #include "engine/dc.hpp"
+#include "numeric/dense_lu.hpp"
 #include "rf/lptv.hpp"
 #include "rf/pnoise.hpp"
 #include "rf/ppv.hpp"
@@ -29,10 +29,9 @@ namespace {
 
 constexpr Real kGoldenTol = 1e-8;
 
-PssOptions pssOptions(LinearSolverKind solver, int stepsPerPeriod) {
+PssOptions pssOptions(int stepsPerPeriod) {
   PssOptions opt;
   opt.stepsPerPeriod = stepsPerPeriod;
-  opt.solver = solver;
   return opt;
 }
 
@@ -41,6 +40,21 @@ void expectStatesMatch(const PssResult& a, const PssResult& b, Real tol) {
   for (size_t k = 0; k < a.states.size(); ++k) {
     for (size_t i = 0; i < a.states[k].size(); ++i) {
       EXPECT_NEAR(a.states[k][i], b.states[k][i], tol)
+          << "k=" << k << " unknown " << i;
+    }
+  }
+}
+
+/// Compares every `every`-th orbit state against a flattened frozen
+/// reference of the same sampling.
+void expectStatesMatchFrozen(const PssResult& pss,
+                             std::span<const double> ref, size_t every,
+                             Real tol) {
+  const size_t n = pss.states[0].size();
+  ASSERT_EQ(ref.size(), ((pss.states.size() + every - 1) / every) * n);
+  for (size_t k = 0, row = 0; k < pss.states.size(); k += every, ++row) {
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(pss.states[k][i], ref[row * n + i], tol)
           << "k=" << k << " unknown " << i;
     }
   }
@@ -70,51 +84,70 @@ struct ChainFixture {
 
 class PssDrivenGolden : public ::testing::TestWithParam<int> {};
 
-TEST_P(PssDrivenGolden, DenseAndSparseAgree) {
-  ChainFixture ckt(GetParam());
-  const PssResult dense =
-      solvePssDriven(*ckt.sys, ckt.period, pssOptions(LinearSolverKind::kDense, 100));
-  const PssResult sparse =
-      solvePssDriven(*ckt.sys, ckt.period, pssOptions(LinearSolverKind::kSparse, 100));
+TEST_P(PssDrivenGolden, OrbitMatchesDenseReferenceAndOracles) {
+  const int rows = GetParam();
+  ChainFixture ckt(rows);
+  const PssResult pss = solvePssDriven(*ckt.sys, ckt.period, pssOptions(100));
+  const size_t n = ckt.sys->size();
 
-  EXPECT_FALSE(dense.sparseLinearizations);
-  EXPECT_TRUE(sparse.sparseLinearizations);
-  EXPECT_FALSE(dense.gMats.empty());
-  EXPECT_FALSE(sparse.gSpMats.empty());
-  expectStatesMatch(dense, sparse, kGoldenTol);
-  // Same discrete problem, same Newton: the shooting trajectories match.
-  EXPECT_EQ(dense.shootingIterations, sparse.shootingIterations);
-  for (size_t i = 0; i < ckt.sys->size(); ++i) {
-    for (size_t j = 0; j < ckt.sys->size(); ++j) {
-      EXPECT_NEAR(sparse.monodromy(i, j), dense.monodromy(i, j), kGoldenTol);
+  // Same discrete problem, same Newton: the shooting trajectory matches
+  // the dense reference.
+  EXPECT_EQ(static_cast<size_t>(pss.shootingIterations),
+            rows == 1 ? dense_ref::kPssDrivenRows1ShootingIters
+                      : dense_ref::kPssDrivenRows8ShootingIters);
+  if (rows == 1) {
+    expectStatesMatchFrozen(pss, dense_ref::kPssDrivenRows1States,
+                            dense_ref::kPssDrivenRows1Every, kGoldenTol);
+  } else {
+    expectStatesMatchFrozen(pss, dense_ref::kPssDrivenRows8States,
+                            dense_ref::kPssDrivenRows8Every, kGoldenTol);
+  }
+
+  // Monodromy oracle: Phi = prod_k (G_k + C_k/h)^{-1} (C_{k-1}/h) rebuilt
+  // from the stored linearizations with dense LU.
+  ASSERT_EQ(pss.gSpMats.size(), pss.states.size());
+  const Real h = pss.stepSize();
+  RealMatrix phi = RealMatrix::identity(n);
+  for (size_t k = 1; k <= pss.stepCount(); ++k) {
+    RealMatrix j = pss.gSpMats[k].toDense();
+    const RealMatrix c = pss.cSpMats[k].toDense();
+    const RealMatrix cPrev = pss.cSpMats[k - 1].toDense();
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t col = 0; col < n; ++col) j(r, col) += c(r, col) / h;
+    }
+    RealVector rhs(n * n);
+    for (size_t col = 0; col < n; ++col) {
+      for (size_t r = 0; r < n; ++r) {
+        Real acc = 0.0;
+        for (size_t m = 0; m < n; ++m) acc += cPrev(r, m) * phi(m, col);
+        rhs[col * n + r] = acc / h;
+      }
+    }
+    DenseLU<Real>(j).solveManyInPlace(rhs, n);
+    for (size_t col = 0; col < n; ++col) {
+      for (size_t r = 0; r < n; ++r) phi(r, col) = rhs[col * n + r];
     }
   }
-  // Stored linearizations agree (sparse pattern holds every dense entry).
-  const size_t kMid = dense.stepCount() / 2;
-  EXPECT_LT(maxAbsDiff(sparse.gSpMats[kMid].toDense(), dense.gMats[kMid]),
-            1e-9);
-  EXPECT_LT(maxAbsDiff(sparse.cSpMats[kMid].toDense(), dense.cMats[kMid]),
-            1e-9);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      EXPECT_NEAR(pss.monodromy(i, j), phi(i, j), kGoldenTol);
+    }
+  }
+
+  // Stored linearizations: the sparse pattern holds every entry of the
+  // evalDense oracle at the stored orbit point (G/C were evaluated at the
+  // final Newton iterate, within the inner update tolerance of it).
+  const size_t kMid = pss.stepCount() / 2;
+  RealMatrix g, c;
+  ckt.sys->evalDense(pss.states[kMid], pss.times[kMid], nullptr, nullptr, &g,
+                     &c, {});
+  EXPECT_LT(maxAbsDiff(pss.gSpMats[kMid].toDense(), g), 1e-9);
+  EXPECT_LT(maxAbsDiff(pss.cSpMats[kMid].toDense(), c), 1e-9);
 }
 
-// Below (rows=1: ~12 unknowns) and above (rows=8: ~66 unknowns) the kAuto
-// sparse crossover.
+// rows=1: ~12 unknowns (ran dense before the backends merged); rows=8:
+// ~66 unknowns.
 INSTANTIATE_TEST_SUITE_P(ChainSizes, PssDrivenGolden, ::testing::Values(1, 8));
-
-TEST(PssDrivenGolden, AutoSelectsSparseAboveThreshold) {
-  ChainFixture big(8);
-  ASSERT_GT(big.sys->size(), kSparseSolverThreshold);
-  const PssResult pss =
-      solvePssDriven(*big.sys, big.period, pssOptions(LinearSolverKind::kAuto, 60));
-  EXPECT_TRUE(pss.sparseLinearizations);
-  EXPECT_TRUE(pss.gMats.empty());  // no dense orbit storage on the sparse path
-
-  ChainFixture small(1);
-  ASSERT_LT(small.sys->size(), kSparseSolverThreshold);
-  const PssResult pssSmall =
-      solvePssDriven(*small.sys, small.period, pssOptions(LinearSolverKind::kAuto, 60));
-  EXPECT_FALSE(pssSmall.sparseLinearizations);
-}
 
 // -------------------------------------------------------- autonomous PSS
 
@@ -134,143 +167,148 @@ struct RingGolden {
   }
 };
 
-void expectAutonomousAgree(RingGolden& ring, Real periodGuess,
-                           const RealVector& x0, int stepsPerPeriod,
-                           Real periodTol, Real stateTol, Real dxdTTol) {
-  const PssResult dense = solvePssAutonomous(
-      *ring.sys, periodGuess, ring.warm.phaseIndex, x0,
-      pssOptions(LinearSolverKind::kDense, stepsPerPeriod));
-  const PssResult sparse = solvePssAutonomous(
-      *ring.sys, periodGuess, ring.warm.phaseIndex, x0,
-      pssOptions(LinearSolverKind::kSparse, stepsPerPeriod));
-
-  // Period: the headline quantity of the oscillator analyses.
-  EXPECT_NEAR(sparse.period, dense.period, periodTol * dense.period);
-  expectStatesMatch(dense, sparse, stateTol);
-  // dxdT is a finite difference over dT = 1e-4*T, so the per-backend
-  // Newton noise floor is amplified by 1/dT: compare it to a tolerance
-  // that respects the fixture's conditioning, not the golden tolerance.
-  for (size_t i = 0; i < ring.sys->size(); ++i) {
-    EXPECT_NEAR(sparse.dxdT[i], dense.dxdT[i],
-                dxdTTol * std::max(1.0, std::fabs(dense.dxdT[i])));
+/// Autonomous shooting against the frozen dense reference: period (the
+/// headline quantity of the oscillator analyses), orbit, and dxdT.
+void expectAutonomousMatchesReference(const PssResult& pss, Real refPeriod,
+                                      std::span<const double> refStates,
+                                      size_t every,
+                                      std::span<const double> refDxdT,
+                                      Real periodTol, Real stateTol,
+                                      Real dxdTTol) {
+  EXPECT_NEAR(pss.period, refPeriod, periodTol * refPeriod);
+  expectStatesMatchFrozen(pss, refStates, every, stateTol);
+  // dxdT is a finite difference over dT = 1e-4*T, so the Newton noise
+  // floor is amplified by 1/dT: compare it to a tolerance that respects
+  // the fixture's conditioning, not the golden tolerance.
+  ASSERT_EQ(pss.dxdT.size(), refDxdT.size());
+  for (size_t i = 0; i < refDxdT.size(); ++i) {
+    EXPECT_NEAR(pss.dxdT[i], refDxdT[i],
+                dxdTTol * std::max(1.0, std::fabs(refDxdT[i])));
   }
 }
 
-TEST(PssAutonomousGolden, SmallRingDenseAndSparseAgree) {
-  // 7 unknowns: below the crossover. Both backends run the full shooting
-  // sequence from the transient warmup state.
+TEST(PssAutonomousGolden, SmallRingMatchesDenseReference) {
+  // 7 unknowns: the full shooting sequence from the transient warmup
+  // state.
   RingGolden ring(5, 30e-9, 10e-12);
-  expectAutonomousAgree(ring, ring.warm.periodEstimate, ring.warm.state, 300,
-                        1e-8, 1e-7, 1e-6);
+  const PssResult pss =
+      solvePssAutonomous(*ring.sys, ring.warm.periodEstimate,
+                         ring.warm.phaseIndex, ring.warm.state,
+                         pssOptions(300));
+  expectAutonomousMatchesReference(
+      pss, dense_ref::kSmallRingPeriod, dense_ref::kSmallRingStates,
+      dense_ref::kSmallRingEvery, dense_ref::kSmallRingDxdT, 1e-8, 1e-7,
+      1e-6);
 }
 
-TEST(PssAutonomousGolden, LargeRingDenseAndSparseAgree) {
-  // 63 stages = 65 unknowns: above the crossover. The alternating kick
-  // settles onto a multi-wave rotating mode: (Phi - I) is badly
-  // conditioned and the phase level is crossed once per wave, so distinct
-  // far-from-orbit starts can legitimately lock onto different (time
-  // shifted) solutions. For a meaningful golden comparison, shoot once
-  // with the cheap sparse path to land on the orbit, then let both
-  // backends solve the same seeded problem — every ingredient (period
-  // integration, monodromy accumulation, bordered update, trajectory
-  // pack) still runs per backend, and the answers must coincide almost to
+TEST(PssAutonomousGolden, LargeRingMatchesDenseReference) {
+  // 63 stages = 65 unknowns. The alternating kick settles onto a
+  // multi-wave rotating mode: (Phi - I) is badly conditioned and the
+  // phase level is crossed once per wave, so distinct far-from-orbit
+  // starts can legitimately lock onto different (time shifted) solutions.
+  // For a meaningful golden comparison, shoot once to land on the orbit,
+  // then solve the seeded problem the reference solved — every ingredient
+  // (period integration, monodromy accumulation, bordered update,
+  // trajectory pack) runs again, and the answers must coincide almost to
   // machine precision.
   RingGolden ring(63, 400e-9, 20e-12);
   const PssResult seed = solvePssAutonomous(
       *ring.sys, ring.warm.periodEstimate, ring.warm.phaseIndex,
-      ring.warm.state, pssOptions(LinearSolverKind::kSparse, 180));
-  EXPECT_TRUE(seed.sparseLinearizations);
-  expectAutonomousAgree(ring, seed.period, seed.states[0], 180, 1e-10, 1e-9,
-                        5e-3);
+      ring.warm.state, pssOptions(180));
+  const PssResult pss = solvePssAutonomous(
+      *ring.sys, seed.period, ring.warm.phaseIndex, seed.states[0],
+      pssOptions(180));
+  expectAutonomousMatchesReference(
+      pss, dense_ref::kLargeRingPeriod, dense_ref::kLargeRingStates,
+      dense_ref::kLargeRingEvery, dense_ref::kLargeRingDxdT, 1e-10, 1e-9,
+      5e-3);
 }
 
 TEST(PssAutonomousGolden, ShootingConvergesFastOnRingOscillator) {
   // Regression fixture for the FD period-derivative step: with the step at
   // 1e-7*T the bordered Jacobian drowned in inner-Newton noise and
   // shooting limped to ~58 iterations; at 1e-4*T it converges in ~14. Pin
-  // a hard ceiling so the fragility cannot silently return (on either
-  // backend).
+  // a hard ceiling so the fragility cannot silently return.
   RingGolden ring(5, 30e-9, 10e-12);
-  for (LinearSolverKind solver :
-       {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
-    const PssResult pss = solvePssAutonomous(
-        *ring.sys, ring.warm.periodEstimate, ring.warm.phaseIndex,
-        ring.warm.state, pssOptions(solver, 300));
-    EXPECT_LE(pss.shootingIterations, 20)
-        << (solver == LinearSolverKind::kDense ? "dense" : "sparse");
-  }
+  const PssResult pss = solvePssAutonomous(
+      *ring.sys, ring.warm.periodEstimate, ring.warm.phaseIndex,
+      ring.warm.state, pssOptions(300));
+  EXPECT_LE(pss.shootingIterations, 20);
 }
 
 // ------------------------------------------------------------- LPTV
 
-TEST(LptvGolden, TransferAgreesAcrossBackendsOnLargeChain) {
+TEST(LptvGolden, TransferMatchesDenseReferenceOnLargeChain) {
   ChainFixture ckt(8);
-  ASSERT_GT(ckt.sys->size(), kSparseSolverThreshold);
-  const PssResult dense =
-      solvePssDriven(*ckt.sys, ckt.period, pssOptions(LinearSolverKind::kDense, 80));
-  const PssResult sparse =
-      solvePssDriven(*ckt.sys, ckt.period, pssOptions(LinearSolverKind::kSparse, 80));
+  const PssResult pss =
+      solvePssDriven(*ckt.sys, ckt.period, pssOptions(80));
 
   const std::span<const InjectionSource> srcs(ckt.sources.data(), 12);
-  LptvSolver denseSolver(*ckt.sys, dense);
-  LptvSolver sparseSolver(*ckt.sys, sparse);
+  LptvSolver solver(*ckt.sys, pss);
   const Real fOff = 1.0;
-  const LptvSolution dSol = denseSolver.solveDirect(srcs, fOff);
-  const LptvSolution sSol = sparseSolver.solveDirect(srcs, fOff);
+  const LptvSolution sol = solver.solveDirect(srcs, fOff);
+  size_t at = 0;
   for (size_t s = 0; s < srcs.size(); ++s) {
     for (int harmonic : {0, 1, -1}) {
-      const Cplx d = dSol.harmonic(s, ckt.outIdx, harmonic);
-      const Cplx sp = sSol.harmonic(s, ckt.outIdx, harmonic);
-      EXPECT_LT(std::abs(sp - d), kGoldenTol + 1e-6 * std::abs(d))
+      const Cplx ref(dense_ref::kLptvDirectHarmonics[at],
+                     dense_ref::kLptvDirectHarmonics[at + 1]);
+      at += 2;
+      const Cplx got = sol.harmonic(s, ckt.outIdx, harmonic);
+      EXPECT_LT(std::abs(got - ref), kGoldenTol + 1e-6 * std::abs(ref))
           << "source " << s << " harmonic " << harmonic;
     }
   }
-  // Adjoint path: sparse transposed solves against the dense adjoint.
-  const CplxVector dAdj = denseSolver.solveAdjoint(srcs, fOff, ckt.outIdx, 0);
-  const CplxVector sAdj = sparseSolver.solveAdjoint(srcs, fOff, ckt.outIdx, 0);
+  // Adjoint path: transposed sparse solves against the dense adjoint.
+  const CplxVector adj = solver.solveAdjoint(srcs, fOff, ckt.outIdx, 0);
   for (size_t s = 0; s < srcs.size(); ++s) {
-    EXPECT_LT(std::abs(sAdj[s] - dAdj[s]), kGoldenTol + 1e-6 * std::abs(dAdj[s]));
+    const Cplx ref(dense_ref::kLptvAdjoint[2 * s],
+                   dense_ref::kLptvAdjoint[2 * s + 1]);
+    EXPECT_LT(std::abs(adj[s] - ref), kGoldenTol + 1e-6 * std::abs(ref));
   }
-  // And adjoint == direct within the sparse backend itself.
+  // And adjoint == direct.
   for (size_t s = 0; s < srcs.size(); ++s) {
-    const Cplx d = sSol.harmonic(s, ckt.outIdx, 0);
-    EXPECT_LT(std::abs(sAdj[s] - d), 1e-9 + 1e-6 * std::abs(d));
+    const Cplx d = sol.harmonic(s, ckt.outIdx, 0);
+    EXPECT_LT(std::abs(adj[s] - d), 1e-9 + 1e-6 * std::abs(d));
   }
 }
 
 // ----------------------------------------------------- noise / sigma(t)
 
-TEST(PnoiseGolden, SidebandPsdAndStatisticalWaveformAgree) {
+TEST(PnoiseGolden, SidebandPsdAndStatisticalWaveformMatchDenseReference) {
   ChainFixture ckt(8);
-  const PssResult dense =
-      solvePssDriven(*ckt.sys, ckt.period, pssOptions(LinearSolverKind::kDense, 80));
-  const PssResult sparse =
-      solvePssDriven(*ckt.sys, ckt.period, pssOptions(LinearSolverKind::kSparse, 80));
+  const PssResult pss =
+      solvePssDriven(*ckt.sys, ckt.period, pssOptions(80));
 
   std::vector<InjectionSource> srcs(ckt.sources.begin(),
                                     ckt.sources.begin() + 12);
-  PnoiseAnalysis pnDense(*ckt.sys, dense, srcs, PnoiseOptions{});
-  PnoiseAnalysis pnSparse(*ckt.sys, sparse, srcs, PnoiseOptions{});
-  pnDense.run();
-  pnSparse.run();
+  PnoiseAnalysis pn(*ckt.sys, pss, srcs, PnoiseOptions{});
+  pn.run();
 
-  for (int harmonic : {0, 1}) {
-    const PnoiseSideband sbD = pnDense.sideband(ckt.outIdx, harmonic);
-    const PnoiseSideband sbS = pnSparse.sideband(ckt.outIdx, harmonic);
-    EXPECT_NEAR(sbS.totalPsd, sbD.totalPsd,
-                kGoldenTol + 1e-6 * sbD.totalPsd);
+  const struct {
+    int harmonic;
+    Real total;
+    std::span<const double> contribution;
+  } refs[] = {
+      {0, dense_ref::kPnoiseH0TotalPsd, dense_ref::kPnoiseH0Contribution},
+      {1, dense_ref::kPnoiseH1TotalPsd, dense_ref::kPnoiseH1Contribution},
+  };
+  for (const auto& ref : refs) {
+    const PnoiseSideband sb = pn.sideband(ckt.outIdx, ref.harmonic);
+    EXPECT_NEAR(sb.totalPsd, ref.total, kGoldenTol + 1e-6 * ref.total);
+    ASSERT_EQ(sb.contribution.size(), ref.contribution.size());
     for (size_t s = 0; s < srcs.size(); ++s) {
-      EXPECT_NEAR(sbS.contribution[s], sbD.contribution[s],
-                  kGoldenTol + 1e-6 * sbD.contribution[s]);
+      EXPECT_NEAR(sb.contribution[s], ref.contribution[s],
+                  kGoldenTol + 1e-6 * ref.contribution[s]);
     }
   }
 
-  const StatisticalWaveform swD = statisticalWaveform(pnDense, ckt.outIdx);
-  const StatisticalWaveform swS = statisticalWaveform(pnSparse, ckt.outIdx);
-  ASSERT_EQ(swD.sigma.size(), swS.sigma.size());
-  for (size_t k = 0; k < swD.sigma.size(); ++k) {
-    EXPECT_NEAR(swS.sigma[k], swD.sigma[k], kGoldenTol + 1e-6 * swD.sigma[k]);
-    EXPECT_NEAR(swS.nominal[k], swD.nominal[k], kGoldenTol);
+  // sigma(t): the paper's pseudo-noise product.
+  const StatisticalWaveform sw = statisticalWaveform(pn, ckt.outIdx);
+  ASSERT_EQ(sw.sigma.size(), std::size(dense_ref::kPnoiseSigma));
+  for (size_t k = 0; k < sw.sigma.size(); ++k) {
+    EXPECT_NEAR(sw.sigma[k], dense_ref::kPnoiseSigma[k],
+                kGoldenTol + 1e-6 * dense_ref::kPnoiseSigma[k]);
+    EXPECT_NEAR(sw.nominal[k], dense_ref::kPnoiseNominal[k], kGoldenTol);
   }
 }
 
@@ -283,11 +321,11 @@ TEST(PssParallelGolden, DrivenMonodromyMatchesSerialAcrossJobCounts) {
   // against the shared accepted-step factorization: each column's
   // assembly, solve, and write-back involve only that column, so the
   // whole shooting solve must match the serial path to the last bit —
-  // asserted here at 1e-12 on both backends and several jobs counts.
-  for (LinearSolverKind solver :
-       {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
-    ChainFixture ckt(8);
-    const PssOptions sopt = pssOptions(solver, 60);
+  // asserted here at 1e-12 on a small and a large chain and several jobs
+  // counts.
+  for (int rows : {1, 8}) {
+    ChainFixture ckt(rows);
+    const PssOptions sopt = pssOptions(60);
     const PssResult serial = solvePssDriven(*ckt.sys, ckt.period, sopt);
     for (size_t jobs : {2u, 4u}) {
       ThreadPool pool(jobs);
@@ -300,7 +338,8 @@ TEST(PssParallelGolden, DrivenMonodromyMatchesSerialAcrossJobCounts) {
         for (size_t j = 0; j < ckt.sys->size(); ++j) {
           EXPECT_NEAR(par.monodromy(i, j), serial.monodromy(i, j),
                       kParallelTol)
-              << "jobs=" << jobs << " (" << i << "," << j << ")";
+              << "rows=" << rows << " jobs=" << jobs << " (" << i << ","
+              << j << ")";
         }
       }
     }
@@ -309,29 +348,26 @@ TEST(PssParallelGolden, DrivenMonodromyMatchesSerialAcrossJobCounts) {
 
 TEST(PssParallelGolden, AutonomousShootingMatchesSerialWithPool) {
   RingGolden ring(5, 30e-9, 10e-12);
-  for (LinearSolverKind solver :
-       {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
-    const PssOptions sopt = pssOptions(solver, 200);
-    const PssResult serial =
-        solvePssAutonomous(*ring.sys, ring.warm.periodEstimate,
-                           ring.warm.phaseIndex, ring.warm.state, sopt);
-    ThreadPool pool(4);
-    PssOptions popt = sopt;
-    popt.pool = &pool;
-    const PssResult par =
-        solvePssAutonomous(*ring.sys, ring.warm.periodEstimate,
-                           ring.warm.phaseIndex, ring.warm.state, popt);
-    EXPECT_EQ(par.shootingIterations, serial.shootingIterations);
-    EXPECT_NEAR(par.period, serial.period, kParallelTol * serial.period);
-    expectStatesMatch(serial, par, kParallelTol);
-  }
+  const PssOptions sopt = pssOptions(200);
+  const PssResult serial =
+      solvePssAutonomous(*ring.sys, ring.warm.periodEstimate,
+                         ring.warm.phaseIndex, ring.warm.state, sopt);
+  ThreadPool pool(4);
+  PssOptions popt = sopt;
+  popt.pool = &pool;
+  const PssResult par =
+      solvePssAutonomous(*ring.sys, ring.warm.periodEstimate,
+                         ring.warm.phaseIndex, ring.warm.state, popt);
+  EXPECT_EQ(par.shootingIterations, serial.shootingIterations);
+  EXPECT_NEAR(par.period, serial.period, kParallelTol * serial.period);
+  expectStatesMatch(serial, par, kParallelTol);
 }
 
 TEST(PssParallelGolden, IntegrateMonodromyMatchesSerialOnWarmOrbit) {
   // The exposed kernel (what BM_MonodromyParallel times): one period of
   // monodromy accumulation from a warm state, pool vs serial.
   RingGolden ring(5, 30e-9, 10e-12);
-  PssOptions opt = pssOptions(LinearSolverKind::kSparse, 200);
+  PssOptions opt = pssOptions(200);
   PssWorkspace wsSerial;
   RealVector xSerial = ring.warm.state;
   const RealMatrix serial =
@@ -355,12 +391,11 @@ TEST(PssParallelGolden, IntegrateMonodromyMatchesSerialOnWarmOrbit) {
 TEST(LptvParallelGolden, DirectAndAdjointMatchSerialAcrossJobCounts) {
   // The B_k / V_k recursions fan their column blocks across the pool;
   // every envelope and every adjoint transfer must match the serial
-  // solver at 1e-12, on both orbit backends.
-  for (LinearSolverKind solver :
-       {LinearSolverKind::kDense, LinearSolverKind::kSparse}) {
-    ChainFixture ckt(8);
+  // solver at 1e-12, on a small and a large chain.
+  for (int rows : {1, 8}) {
+    ChainFixture ckt(rows);
     const PssResult pss =
-        solvePssDriven(*ckt.sys, ckt.period, pssOptions(solver, 60));
+        solvePssDriven(*ckt.sys, ckt.period, pssOptions(60));
     const std::span<const InjectionSource> srcs(ckt.sources.data(), 8);
     const Real fOff = 1.0;
     const LptvSolver serial(*ckt.sys, pss);
@@ -393,21 +428,18 @@ TEST(LptvParallelGolden, DirectAndAdjointMatchSerialAcrossJobCounts) {
 
 // --------------------------------------------------------------- PPV
 
-TEST(PpvGolden, FrequencySensitivityAgreesAcrossBackends) {
+TEST(PpvGolden, FrequencySensitivityMatchesDenseReference) {
   RingGolden ring(5, 30e-9, 10e-12);
-  const PssResult dense = solvePssAutonomous(
+  const PssResult pss = solvePssAutonomous(
       *ring.sys, ring.warm.periodEstimate, ring.warm.phaseIndex,
-      ring.warm.state, pssOptions(LinearSolverKind::kDense, 300));
-  const PssResult sparse = solvePssAutonomous(
-      *ring.sys, ring.warm.periodEstimate, ring.warm.phaseIndex,
-      ring.warm.state, pssOptions(LinearSolverKind::kSparse, 300));
-  const PpvResult ppvD = computePpv(*ring.sys, dense);
-  const PpvResult ppvS = computePpv(*ring.sys, sparse);
+      ring.warm.state, pssOptions(300));
+  const PpvResult ppv = computePpv(*ring.sys, pss);
   const auto sources = ring.sys->collectSources(true, false);
-  for (size_t s = 0; s < std::min<size_t>(4, sources.size()); ++s) {
-    const Real d = ppvD.frequencySensitivity(*ring.sys, dense, sources[s]);
-    const Real sp = ppvS.frequencySensitivity(*ring.sys, sparse, sources[s]);
-    EXPECT_NEAR(sp, d, 1e-6 * std::fabs(d) + 1e-9) << sources[s].name;
+  ASSERT_GE(sources.size(), std::size(dense_ref::kSmallRingFreqSens));
+  for (size_t s = 0; s < std::size(dense_ref::kSmallRingFreqSens); ++s) {
+    const Real ref = dense_ref::kSmallRingFreqSens[s];
+    const Real got = ppv.frequencySensitivity(*ring.sys, pss, sources[s]);
+    EXPECT_NEAR(got, ref, 1e-6 * std::fabs(ref) + 1e-9) << sources[s].name;
   }
 }
 

@@ -11,6 +11,9 @@
 #include <cstring>
 #include <limits>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "runtime/ipc.hpp"
 #include "runtime/process_sweep.hpp"
 #include "util/wire.hpp"
@@ -212,6 +215,28 @@ TEST(IpcFrame, ForceCorruptBuildsAFrameTheParserRejects) {
   uint32_t type = 0;
   std::string payload;
   EXPECT_EQ(parser.next(type, payload), FrameParser::Status::kCorrupt);
+}
+
+TEST(IpcFrame, StaleProtocolHelloEndsWithTheMismatchDiagnostic) {
+  // A worker handed a hello frame from an older protocol must refuse it
+  // with the version diagnostic and a nonzero exit code, not misparse the
+  // rest of the stream or crash.
+  WireWriter hello;
+  hello.u32(kIpcProtocolVersion - 1);
+  hello.u64(1);  // jobs
+  wireWrite(hello, FaultPlan{});
+  int sv[2];  // [0]: the parent's end, [1]: the worker's stdin/stdout
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  // Frame type 1 is the protocol's hello.
+  ASSERT_TRUE(writeFrameBlocking(sv[0], 1, hello.bytes()));
+  ::shutdown(sv[0], SHUT_WR);
+  ::testing::internal::CaptureStderr();
+  const int code = runSweepWorker(sv[1], sv[1]);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ::close(sv[0]);
+  ::close(sv[1]);
+  EXPECT_EQ(code, 3);
+  EXPECT_NE(err.find("protocol version mismatch"), std::string::npos) << err;
 }
 
 // ------------------------------------------------- coordinator robustness

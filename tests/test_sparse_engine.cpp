@@ -1,34 +1,74 @@
-// Golden agreement tests for the sparse solver path: the sparse engines
-// (cached-pattern assembly + SparseLU refactorization + batched multi-RHS
-// sensitivity solves) must reproduce the dense path on the benchmark
-// fixtures to near machine precision. Newton tolerances are tightened so
-// both backends converge to the same discrete solution and the comparison
-// threshold of 1e-10 is meaningful.
+// Golden agreement tests for the production solver path (cached-pattern
+// assembly with its stamp tape + SparseLU refactorization + batched
+// multi-RHS sensitivity solves). Kernel-level checks run live against the
+// oracles that stay in the tree (evalDense assembly, DenseLU solves);
+// engine-level checks compare against references frozen from the retired
+// dense backend (dense_reference.hpp). Newton tolerances are tightened so
+// the comparison threshold of 1e-10 is meaningful.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
+#include "circuit/mosfet.hpp"
+#include "circuit/passives.hpp"
 #include "circuit/stdcell.hpp"
+#include "dense_reference.hpp"
 #include "engine/dc.hpp"
 #include "engine/transient.hpp"
 #include "engine/transient_sensitivity.hpp"
+#include "numeric/dense_lu.hpp"
+#include "util/telemetry.hpp"
 
 namespace psmn {
 namespace {
 
 constexpr Real kGoldenTol = 1e-10;
 
-TranOptions tightOptions(LinearSolverKind solver) {
+TranOptions tightOptions() {
   TranOptions opt;
   opt.method = IntegrationMethod::kBackwardEuler;
   opt.residualTol = 1e-12;
   opt.updateTol = 1e-12;
-  opt.solver = solver;
   return opt;
 }
 
-// ------------------------------------------------------------- assembly
+/// Compares every `every`-th stored state (the first included) against a
+/// flattened frozen reference of the same sampling.
+void expectStatesMatchFrozen(const std::vector<RealVector>& states,
+                             std::span<const double> ref, size_t every,
+                             Real tol) {
+  ASSERT_FALSE(states.empty());
+  const size_t n = states[0].size();
+  ASSERT_EQ(ref.size(), ((states.size() + every - 1) / every) * n);
+  for (size_t k = 0, row = 0; k < states.size(); k += every, ++row) {
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(states[k][i], ref[row * n + i], tol)
+          << "state " << k << " unknown " << i;
+    }
+  }
+}
 
+/// Same for sensitivities: per source, every `every`-th time point.
+void expectSensMatchFrozen(const TransientSensitivityResult& res,
+                           std::span<const double> ref, size_t every) {
+  const size_t n = res.states[0].size();
+  const size_t pts = (res.times.size() + every - 1) / every;
+  ASSERT_EQ(ref.size(), res.sens.size() * pts * n);
+  size_t at = 0;
+  for (size_t s = 0; s < res.sens.size(); ++s) {
+    for (size_t k = 0; k < res.times.size(); k += every) {
+      for (size_t i = 0; i < n; ++i, ++at) {
+        EXPECT_NEAR(res.sens[s][k][i], ref[at],
+                    kGoldenTol * std::max(1.0, std::fabs(ref[at])))
+            << "source " << s << " t=" << res.times[k] << " unknown " << i;
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------------- assembly
 TEST(SparseMna, EvalSparseMatchesEvalDense) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
@@ -63,79 +103,256 @@ TEST(SparseMna, EvalSparseMatchesEvalDense) {
   for (size_t i = 0; i < n; ++i) EXPECT_NEAR(fs[i], fd[i], 1e-14);
 }
 
+// ----------------------------------------------------------- stamp tape
+// Every device class is covered at the stamp level by fdcheck's
+// checkTapedAssemblyAt (test_device_fd); these pin the tape lifecycle.
+
+/// NMOS between two resistor-loaded nodes: which terminal acts as the
+/// drain follows the sign of v(d) - v(s).
+struct SwapFixture {
+  Netlist nl;
+  std::unique_ptr<MnaSystem> sys;
+  int d = -1, s = -1, g = -1;
+
+  SwapFixture() {
+    const ProcessKit kit = ProcessKit::cmos130();
+    const NodeId nd = nl.node("d"), ng = nl.node("g"), ns = nl.node("s");
+    nl.add<Mosfet>("M1", nd, ng, ns, kGround, kit.nmos, 2e-6, kit.lmin, nl);
+    nl.add<Resistor>("Rd", nd, kGround, 1e4, nl);
+    nl.add<Resistor>("Rs", ns, kGround, 1e4, nl);
+    nl.add<Resistor>("Rg", ng, kGround, 1e4, nl);
+    nl.add<Capacitor>("Cds", nd, ns, 1e-15, nl);
+    sys = std::make_unique<MnaSystem>(nl);
+    d = nl.nodeIndex(nd);
+    s = nl.nodeIndex(ns);
+    g = nl.nodeIndex(ng);
+  }
+  RealVector at(Real vd, Real vs) const {
+    RealVector x(sys->size(), 0.0);
+    x[d] = vd;
+    x[s] = vs;
+    x[g] = 1.2;
+    return x;
+  }
+};
+
+/// Assembly through untaped copies of (g, c): every stamp resolved by
+/// find() — the reference a taped pass must reproduce bit for bit.
+void expectMatchesUntaped(const MnaSystem& sys, const RealVector& x,
+                          const RealSparse& g, const RealSparse& c,
+                          const RealVector& f, const RealVector& q) {
+  RealSparse gu = g, cu = c;
+  ASSERT_TRUE(gu.stampTape().empty());
+  ASSERT_TRUE(cu.stampTape().empty());
+  RealVector fu, qu;
+  sys.evalSparse(x, 0.0, &fu, &qu, &gu, &cu);
+  const auto eq = [](std::span<const Real> a, std::span<const Real> b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  EXPECT_TRUE(eq(g.values(), gu.values()));
+  EXPECT_TRUE(eq(c.values(), cu.values()));
+  EXPECT_TRUE(eq(f, fu));
+  EXPECT_TRUE(eq(q, qu));
+}
+
+TEST(StampTape, MosfetDrainSourceSwapHealsTheTape) {
+  SwapFixture fx;
+  TelemetryRegistry reg(1);
+  TelemetryScope scope(reg, 0);
+  const auto misses = [&] {
+    return reg.counterTotal(Counter::kStampTapeMisses);
+  };
+  RealSparse g, c;
+  RealVector f, q;
+  const RealVector fwd = fx.at(0.8, 0.1), rev = fx.at(0.1, 0.8);
+  fx.sys->evalSparse(fwd, 0.0, &f, &q, &g, &c);  // pattern + recording
+  const size_t tapeLen = g.stampTape().size();
+  EXPECT_GT(tapeLen, 0u);
+  fx.sys->evalSparse(fwd, 0.0, &f, &q, &g, &c);  // pure replay
+  EXPECT_EQ(misses(), 0u);
+  expectMatchesUntaped(*fx.sys, fwd, g, c, f, q);
+
+  fx.sys->evalSparse(rev, 0.0, &f, &q, &g, &c);  // swapped frame: misses
+  const uint64_t swapMisses = misses();
+  EXPECT_GT(swapMisses, 0u);
+  EXPECT_EQ(g.stampTape().size(), tapeLen);  // healed in place
+  expectMatchesUntaped(*fx.sys, rev, g, c, f, q);
+
+  fx.sys->evalSparse(rev, 0.0, &f, &q, &g, &c);  // healed: replays clean
+  EXPECT_EQ(misses(), swapMisses);
+  expectMatchesUntaped(*fx.sys, rev, g, c, f, q);
+
+  fx.sys->evalSparse(fwd, 0.0, &f, &q, &g, &c);  // and back
+  EXPECT_GT(misses(), swapMisses);
+  expectMatchesUntaped(*fx.sys, fwd, g, c, f, q);
+}
+
+TEST(StampTape, PatternExtensionAfterRecordingStartsAFreshTape) {
+  // The evalSparse miss path at the Stamper level: a tape recorded on a
+  // pattern, then a stamp outside it, a rebuild, and a fresh recording.
+  std::vector<Triplet<Real>> trips = {{0, 0, 0.0}, {1, 1, 0.0}};
+  RealSparse g = RealSparse::fromTriplets(2, 2, trips);
+  const RealVector x(2, 0.0);
+  const auto pass = [&](bool offPattern) {
+    g.zeroValues();
+    Stamper s(x, 0.0, 2);
+    s.attachSparse(&g, nullptr);
+    s.addG(0, 0, 1.5);
+    if (offPattern) s.addG(0, 1, -0.25);
+    s.addG(1, 1, 2.5);
+    s.addG(0, 0, 0.125);
+    return s;
+  };
+  EXPECT_FALSE(pass(false).sparseMiss());  // records 3 entries + end
+  EXPECT_EQ(g.stampTape().size(), 4u);
+  EXPECT_EQ(pass(false).tapeMisses(), 0u);
+  const Stamper missed = pass(true);
+  EXPECT_TRUE(missed.sparseMiss());
+
+  std::vector<Triplet<Real>> extra = {{0, 1, 0.0}};
+  mnaRebuildPattern(&g, 2, extra, 0);
+  EXPECT_TRUE(g.stampTape().empty());  // the rebuild drops the tape
+  EXPECT_EQ(g.nonZeros(), 3u);
+  const Stamper recorded = pass(true);
+  EXPECT_FALSE(recorded.sparseMiss());
+  EXPECT_EQ(recorded.tapeMisses(), 0u);
+  EXPECT_EQ(g.stampTape().size(), 5u);
+  const Stamper replayed = pass(true);
+  EXPECT_EQ(replayed.tapeMisses(), 0u);
+  EXPECT_EQ(*g.find(0, 0), 1.5 + 0.125);
+  EXPECT_EQ(*g.find(0, 1), -0.25);
+  EXPECT_EQ(*g.find(1, 1), 2.5);
+}
+
+TEST(StampTape, CopiesStartUntapedAndAssembleIdentically) {
+  SwapFixture fx;
+  RealSparse g, c;
+  RealVector f, q;
+  const RealVector x0 = fx.at(0.8, 0.1), x1 = fx.at(0.3, 0.9);
+  fx.sys->evalSparse(x0, 0.0, &f, &q, &g, &c);
+  fx.sys->evalSparse(x0, 0.0, &f, &q, &g, &c);
+  ASSERT_FALSE(g.stampTape().empty());
+
+  RealSparse g2 = g, c2 = c;  // copy construction
+  EXPECT_TRUE(g2.stampTape().empty());
+  RealSparse g3 = g2;
+  g3 = g;  // copy assignment onto a matrix
+  EXPECT_TRUE(g3.stampTape().empty());
+  fx.sys->evalSparse(x0, 0.0, &f, &q, &g3, &c2);
+  ASSERT_FALSE(g3.stampTape().empty());
+  g3 = g2;  // ...also drops a tape the target had recorded
+  EXPECT_TRUE(g3.stampTape().empty());
+
+  RealVector f2, q2;
+  fx.sys->evalSparse(x1, 0.0, &f, &q, &g, &c);
+  fx.sys->evalSparse(x1, 0.0, &f2, &q2, &g2, &c2);
+  EXPECT_EQ(g2.stampTape().size(), g.stampTape().size());
+  EXPECT_TRUE(std::equal(g.values().begin(), g.values().end(),
+                         g2.values().begin(), g2.values().end()));
+  EXPECT_TRUE(std::equal(c.values().begin(), c.values().end(),
+                         c2.values().begin(), c2.values().end()));
+  EXPECT_EQ(f, f2);
+  EXPECT_EQ(q, q2);
+
+  RealSparse moved = std::move(g);  // a move keeps the tape with its pattern
+  EXPECT_EQ(moved.stampTape().size(), g2.stampTape().size());
+}
+
+TEST(SparseLu, SolvesMatchTheDenseLuOracle) {
+  // The kernel the engines now run at every size, against the dense
+  // oracle on the transient Jacobian of a small (ring, n = 7) system.
+  Netlist nl;
+  auto kit = ProcessKit::cmos130();
+  buildRingOscillator(nl, kit);
+  MnaSystem sys(nl);
+  const size_t n = sys.size();
+  RealVector x(n);
+  for (size_t i = 0; i < n; ++i) x[i] = 0.2 + 0.13 * static_cast<Real>(i % 5);
+  RealSparse gsp, csp;
+  sys.evalSparse(x, 0.0, nullptr, nullptr, &gsp, &csp, {});
+  MergedSparseAssembler<Real> jac;
+  jac.assemble(gsp, csp, 1.0 / 5e-12);
+  const SparseLU<Real> slu(jac.matrix);
+  const DenseLU<Real> dlu(jac.matrix.toDense());
+  RealVector b(2 * n);
+  for (size_t i = 0; i < b.size(); ++i) b[i] = std::sin(1.0 + i);
+  RealVector bs = b, bd = b;
+  slu.solveManyInPlace(bs, 2);
+  dlu.solveManyInPlace(bd, 2);
+  for (size_t i = 0; i < b.size(); ++i) {
+    EXPECT_NEAR(bs[i], bd[i], 1e-12 * std::max(1.0, std::fabs(bd[i]))) << i;
+  }
+  RealVector ts(b.begin(), b.begin() + n), td = ts;
+  slu.solveTransposedInPlace(ts);
+  dlu.solveTransposedInPlace(td);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(ts[i], td[i], 1e-12 * std::max(1.0, std::fabs(td[i]))) << i;
+  }
+}
+
 // ------------------------------------------------------------------- DC
 
-TEST(SparseDc, OperatingPointMatchesDense) {
+TEST(SparseDc, OperatingPointMatchesDenseReference) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
   buildInverterChain(nl, kit, {});
   MnaSystem sys(nl);
-  DcOptions dense;
-  dense.solver = LinearSolverKind::kDense;
-  DcOptions sparse;
-  sparse.solver = LinearSolverKind::kSparse;
-  const DcResult xd = solveDc(sys, dense);
-  const DcResult xs = solveDc(sys, sparse);
+  const DcResult xs = solveDc(sys, {});
+  ASSERT_EQ(std::size(dense_ref::kChainDcX), sys.size());
   for (size_t i = 0; i < sys.size(); ++i) {
-    EXPECT_NEAR(xs.x[i], xd.x[i], kGoldenTol) << "unknown " << i;
+    EXPECT_NEAR(xs.x[i], dense_ref::kChainDcX[i], kGoldenTol) << "unknown " << i;
   }
 }
 
 // -------------------------------------------------------------- transient
 
-TEST(SparseTransient, InverterChainMatchesDense) {
+TEST(SparseTransient, InverterChainMatchesDenseReference) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
   InverterChainOptions copt;
   copt.stages = 12;
-  const auto chain = buildInverterChain(nl, kit, copt);
+  buildInverterChain(nl, kit, copt);
   MnaSystem sys(nl);
 
-  const Real t1 = 2e-9, dt = 5e-12;
-  const TransientResult dense =
-      runTransient(sys, 0.0, t1, dt, tightOptions(LinearSolverKind::kDense));
-  const TransientResult sparse =
-      runTransient(sys, 0.0, t1, dt, tightOptions(LinearSolverKind::kSparse));
-
-  ASSERT_EQ(dense.times.size(), sparse.times.size());
-  for (size_t k = 0; k < dense.times.size(); ++k) {
-    for (size_t i = 0; i < sys.size(); ++i) {
-      EXPECT_NEAR(sparse.states[k][i], dense.states[k][i], kGoldenTol)
-          << "t=" << dense.times[k] << " unknown " << i;
-    }
-  }
+  const TransientResult tr = runTransient(sys, 0.0, 2e-9, 5e-12, tightOptions());
+  ASSERT_EQ(tr.times.size(), dense_ref::kChainTranPoints);
+  expectStatesMatchFrozen(tr.states, dense_ref::kChainTranStates,
+                          dense_ref::kChainTranEvery, kGoldenTol);
 }
 
-TEST(SparseTransient, RingOscillatorMatchesDense) {
-  Netlist nl;
-  auto kit = ProcessKit::cmos130();
-  const auto osc = buildRingOscillator(nl, kit);
-  MnaSystem sys(nl);
+/// The ring fixture's kicked start; the frozen kick pins that the DC
+/// point (and so every reference below) is the one the references saw.
+RealVector ringKick(const Netlist& nl, const MnaSystem& sys,
+                    const RingOscillatorCircuit& osc) {
   RealVector kick = solveDc(sys, {}).x;
   for (size_t i = 0; i < osc.stages.size(); ++i) {
     kick[nl.nodeIndex(osc.stages[i])] += (i % 2 ? 0.25 : -0.25);
   }
-
-  TranOptions dopt = tightOptions(LinearSolverKind::kDense);
-  dopt.initialState = &kick;
-  TranOptions sopt = tightOptions(LinearSolverKind::kSparse);
-  sopt.initialState = &kick;
-  const Real t1 = 1e-9, dt = 5e-12;
-  const TransientResult dense = runTransient(sys, 0.0, t1, dt, dopt);
-  const TransientResult sparse = runTransient(sys, 0.0, t1, dt, sopt);
-
-  ASSERT_EQ(dense.times.size(), sparse.times.size());
-  for (size_t k = 0; k < dense.times.size(); ++k) {
-    for (size_t i = 0; i < sys.size(); ++i) {
-      EXPECT_NEAR(sparse.states[k][i], dense.states[k][i], kGoldenTol)
-          << "t=" << dense.times[k] << " unknown " << i;
-    }
+  EXPECT_EQ(std::size(dense_ref::kRingKick), kick.size());
+  for (size_t i = 0; i < kick.size(); ++i) {
+    EXPECT_NEAR(kick[i], dense_ref::kRingKick[i], kGoldenTol) << i;
   }
+  return kick;
 }
 
-TEST(SparseTransient, TrapezoidalAdaptiveMatchesDense) {
-  // The non-BE methods and the adaptive controller share the same kernel;
-  // spot-check they agree across backends too.
+TEST(SparseTransient, RingOscillatorMatchesDenseReference) {
+  Netlist nl;
+  auto kit = ProcessKit::cmos130();
+  const auto osc = buildRingOscillator(nl, kit);
+  MnaSystem sys(nl);
+  const RealVector kick = ringKick(nl, sys, osc);
+
+  TranOptions sopt = tightOptions();
+  sopt.initialState = &kick;
+  const TransientResult tr = runTransient(sys, 0.0, 1e-9, 5e-12, sopt);
+  ASSERT_EQ(tr.times.size(), dense_ref::kRingTranPoints);
+  expectStatesMatchFrozen(tr.states, dense_ref::kRingTranStates,
+                          dense_ref::kRingTranEvery, kGoldenTol);
+}
+
+TEST(SparseTransient, TrapezoidalAdaptiveMatchesDenseReference) {
+  // The non-BE methods and the adaptive controller share the same kernel:
+  // same accepted grid, same trajectory.
   Netlist nl;
   auto kit = ProcessKit::cmos130();
   InverterChainOptions copt;
@@ -143,25 +360,22 @@ TEST(SparseTransient, TrapezoidalAdaptiveMatchesDense) {
   buildInverterChain(nl, kit, copt);
   MnaSystem sys(nl);
 
-  TranOptions dopt = tightOptions(LinearSolverKind::kDense);
-  dopt.method = IntegrationMethod::kTrapezoidal;
-  dopt.adaptive = true;
-  TranOptions sopt = dopt;
-  sopt.solver = LinearSolverKind::kSparse;
-  const TransientResult dense = runTransient(sys, 0.0, 1e-9, 5e-12, dopt);
-  const TransientResult sparse = runTransient(sys, 0.0, 1e-9, 5e-12, sopt);
-
-  ASSERT_EQ(dense.times.size(), sparse.times.size());
-  for (size_t k = 0; k < dense.times.size(); ++k) {
-    for (size_t i = 0; i < sys.size(); ++i) {
-      EXPECT_NEAR(sparse.states[k][i], dense.states[k][i], kGoldenTol);
-    }
+  TranOptions sopt = tightOptions();
+  sopt.method = IntegrationMethod::kTrapezoidal;
+  sopt.adaptive = true;
+  const TransientResult tr = runTransient(sys, 0.0, 1e-9, 5e-12, sopt);
+  ASSERT_EQ(tr.times.size(), dense_ref::kChainTrapPoints);
+  for (size_t k = 0, row = 0; k < tr.times.size();
+       k += dense_ref::kChainTrapEvery, ++row) {
+    EXPECT_NEAR(tr.times[k], dense_ref::kChainTrapTimes[row], 1e-22) << k;
   }
+  expectStatesMatchFrozen(tr.states, dense_ref::kChainTrapStates,
+                          dense_ref::kChainTrapEvery, kGoldenTol);
 }
 
 // ------------------------------------------------------------ sensitivity
 
-TEST(SparseSensitivity, InverterChainMatchesDense) {
+TEST(SparseSensitivity, InverterChainMatchesDenseReference) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
   InverterChainOptions copt;
@@ -171,65 +385,33 @@ TEST(SparseSensitivity, InverterChainMatchesDense) {
   const auto sources = sys.collectSources(true, false);
   ASSERT_GT(sources.size(), 10u);  // two mismatch params per MOSFET
 
-  const Real t1 = 1.5e-9, dt = 5e-12;
-  const TransientSensitivityResult dense = runTransientSensitivity(
-      sys, 0.0, t1, dt, sources, tightOptions(LinearSolverKind::kDense));
-  const TransientSensitivityResult sparse = runTransientSensitivity(
-      sys, 0.0, t1, dt, sources, tightOptions(LinearSolverKind::kSparse));
-
-  ASSERT_EQ(dense.times.size(), sparse.times.size());
-  for (size_t k = 0; k < dense.times.size(); ++k) {
-    for (size_t i = 0; i < sys.size(); ++i) {
-      EXPECT_NEAR(sparse.states[k][i], dense.states[k][i], kGoldenTol);
-    }
-  }
-  for (size_t s = 0; s < sources.size(); ++s) {
-    for (size_t k = 0; k < dense.times.size(); ++k) {
-      for (size_t i = 0; i < sys.size(); ++i) {
-        const Real ref = dense.sens[s][k][i];
-        EXPECT_NEAR(sparse.sens[s][k][i], ref,
-                    kGoldenTol * std::max(1.0, std::fabs(ref)))
-            << sources[s].name << " t=" << dense.times[k];
-      }
-    }
-  }
+  const TransientSensitivityResult res = runTransientSensitivity(
+      sys, 0.0, 1.5e-9, 5e-12, sources, tightOptions());
+  ASSERT_EQ(res.times.size(), dense_ref::kChainSensPoints);
+  expectStatesMatchFrozen(res.states, dense_ref::kChainSensStates,
+                          dense_ref::kChainSensStatesEvery, kGoldenTol);
+  expectSensMatchFrozen(res, dense_ref::kChainSens,
+                        dense_ref::kChainSensEvery);
   // The shared-Jacobian recursion must not add factorizations beyond the
   // Newton kernel's own (plus the initial DC-sensitivity factor).
-  EXPECT_LE(sparse.stats.totalFactorizations(),
-            sparse.times.size() * 10);  // sanity ceiling, not a perf claim
+  EXPECT_LE(res.stats.totalFactorizations(),
+            res.times.size() * 10);  // sanity ceiling, not a perf claim
 }
 
-TEST(SparseSensitivity, RingOscillatorMatchesDense) {
+TEST(SparseSensitivity, RingOscillatorMatchesDenseReference) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
   const auto osc = buildRingOscillator(nl, kit);
   MnaSystem sys(nl);
   const auto sources = sys.collectSources(true, false);
-  RealVector kick = solveDc(sys, {}).x;
-  for (size_t i = 0; i < osc.stages.size(); ++i) {
-    kick[nl.nodeIndex(osc.stages[i])] += (i % 2 ? 0.25 : -0.25);
-  }
+  const RealVector kick = ringKick(nl, sys, osc);
 
-  TranOptions dopt = tightOptions(LinearSolverKind::kDense);
-  dopt.initialState = &kick;
-  TranOptions sopt = tightOptions(LinearSolverKind::kSparse);
+  TranOptions sopt = tightOptions();
   sopt.initialState = &kick;
-  const Real t1 = 0.5e-9, dt = 2e-12;
-  const TransientSensitivityResult dense =
-      runTransientSensitivity(sys, 0.0, t1, dt, sources, dopt);
-  const TransientSensitivityResult sparse =
-      runTransientSensitivity(sys, 0.0, t1, dt, sources, sopt);
-
-  ASSERT_EQ(dense.times.size(), sparse.times.size());
-  for (size_t s = 0; s < sources.size(); ++s) {
-    for (size_t k = 0; k < dense.times.size(); ++k) {
-      for (size_t i = 0; i < sys.size(); ++i) {
-        const Real ref = dense.sens[s][k][i];
-        EXPECT_NEAR(sparse.sens[s][k][i], ref,
-                    kGoldenTol * std::max(1.0, std::fabs(ref)));
-      }
-    }
-  }
+  const TransientSensitivityResult res =
+      runTransientSensitivity(sys, 0.0, 0.5e-9, 2e-12, sources, sopt);
+  ASSERT_EQ(res.times.size(), dense_ref::kRingSensPoints);
+  expectSensMatchFrozen(res, dense_ref::kRingSens, dense_ref::kRingSensEvery);
 }
 
 // ------------------------------------------------- fill-reducing ordering
@@ -284,8 +466,8 @@ TEST(SparseOrdering, AmdMatchesOptimalFillOnRing) {
 }
 
 // Golden agreement across orderings: the ordering changes roundoff, not
-// the converged solution. Run the sparse transient under all three
-// orderings and compare trajectories to the dense path.
+// the converged solution. Run the transient under all three orderings and
+// compare trajectories to the dense reference.
 TEST(SparseOrdering, TransientAgreesAcrossOrderings) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
@@ -294,29 +476,21 @@ TEST(SparseOrdering, TransientAgreesAcrossOrderings) {
   buildInverterChain(nl, kit, copt);
   MnaSystem sys(nl);
 
-  const Real t1 = 1e-9, dt = 5e-12;
-  const TransientResult dense =
-      runTransient(sys, 0.0, t1, dt, tightOptions(LinearSolverKind::kDense));
   for (OrderingKind kind : {OrderingKind::kNatural, OrderingKind::kDegree,
                             OrderingKind::kAmd}) {
-    TranOptions sopt = tightOptions(LinearSolverKind::kSparse);
+    SCOPED_TRACE(static_cast<int>(kind));
+    TranOptions sopt = tightOptions();
     sopt.ordering = kind;
-    const TransientResult sparse = runTransient(sys, 0.0, t1, dt, sopt);
-    ASSERT_EQ(dense.times.size(), sparse.times.size());
-    for (size_t k = 0; k < dense.times.size(); ++k) {
-      for (size_t i = 0; i < sys.size(); ++i) {
-        EXPECT_NEAR(sparse.states[k][i], dense.states[k][i], kGoldenTol)
-            << "ordering " << static_cast<int>(kind) << " t="
-            << dense.times[k] << " unknown " << i;
-      }
-    }
+    const TransientResult tr = runTransient(sys, 0.0, 1e-9, 5e-12, sopt);
+    ASSERT_EQ(tr.times.size(), dense_ref::kChainTran1nsPoints);
+    expectStatesMatchFrozen(tr.states, dense_ref::kChainTran1nsStates,
+                            dense_ref::kChainTran1nsEvery, kGoldenTol);
   }
 }
 
 // Refactor-after-reorder: one workspace steps the ring for many steps;
 // the AMD symbolic factorization from step 1 must be reused (numeric
-// refactorizations, not fresh symbolic factors) and keep producing the
-// dense-path trajectory.
+// refactorizations, not fresh symbolic factors).
 TEST(SparseOrdering, WorkspaceReusesAmdSymbolicAcrossSteps) {
   Netlist nl;
   auto kit = ProcessKit::cmos130();
@@ -327,7 +501,7 @@ TEST(SparseOrdering, WorkspaceReusesAmdSymbolicAcrossSteps) {
     kick[nl.nodeIndex(osc.stages[i])] += (i % 2 ? 0.25 : -0.25);
   }
 
-  TranOptions sopt = tightOptions(LinearSolverKind::kSparse);
+  TranOptions sopt = tightOptions();
   sopt.ordering = OrderingKind::kAmd;
   sopt.method = IntegrationMethod::kBackwardEuler;
 

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "circuit/mosfet.hpp"
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
 #include "circuit/stdcell.hpp"
@@ -47,6 +48,27 @@ std::unique_ptr<Netlist> makeChainNetlist(Real cLoad) {
   copt.stages = 4;
   copt.cLoad = cLoad;
   buildInverterChain(*nl, kit, copt);
+  return nl;
+}
+
+/// NMOS pass gate into a load capacitor: the input pulse charges the load
+/// through the device and then discharges it back the other way, so the
+/// MOSFET swaps its drain/source frame mid-run (and with it the order of
+/// its stamps).
+std::unique_ptr<Netlist> makePassGateNetlist() {
+  auto nl = std::make_unique<Netlist>();
+  const ProcessKit kit = ProcessKit::cmos130();
+  const NodeId in = nl->node("in");
+  const NodeId gate = nl->node("gate");
+  const NodeId out = nl->node("out");
+  nl->add<VSource>("Vin", in, kGround,
+                   SourceWave::pulse(0.0, 1.2, 0.2e-9, 0.1e-9, 0.1e-9, 1e-9,
+                                     0.0),
+                   *nl);
+  nl->add<VSource>("Vg", gate, kGround, SourceWave::dc(1.2), *nl);
+  nl->add<Mosfet>("M1", in, gate, out, kGround, kit.nmos, 1e-6, kit.lmin,
+                  *nl);
+  nl->add<Capacitor>("Cl", out, kGround, 20e-15, *nl);
   return nl;
 }
 
@@ -117,6 +139,7 @@ TEST(Telemetry, CounterAndPhaseNamesAreStable) {
   EXPECT_STREQ(counterName(Counter::kNewtonIterations), "newton_iterations");
   EXPECT_STREQ(counterName(Counter::kFactorNnzTotal), "factor_nnz_total");
   EXPECT_STREQ(counterName(Counter::kScenarioRetries), "scenario_retries");
+  EXPECT_STREQ(counterName(Counter::kStampTapeMisses), "stamp_tape_misses");
   EXPECT_STREQ(phaseName(Phase::kTransient), "transient");
   EXPECT_STREQ(phaseName(Phase::kScenario), "scenario");
 }
@@ -147,13 +170,42 @@ TEST(SolveStats, SparseTransientReusesThePatternAndReportsFactorNnz) {
   auto nl = makeChainNetlist(4e-15);
   nl->finalize();
   MnaSystem sys(*nl);
-  TranOptions opt;
-  opt.solver = LinearSolverKind::kSparse;
-  const TransientResult tr = runTransient(sys, 0.0, 2e-9, 20e-12, opt);
+  const TransientResult tr = runTransient(sys, 0.0, 2e-9, 20e-12);
   // One symbolic factorization, everything else rides the pivot sequence.
   EXPECT_EQ(tr.stats.factorizations, 1u);
   EXPECT_EQ(tr.stats.refactorizations, tr.stats.newtonIterations - 1);
   EXPECT_GT(tr.stats.factorNnz, 0u);
+}
+
+TEST(Telemetry, StampTapeMissesCountOnlyReorderedStamps) {
+  // A linear circuit stamps the same sequence every pass: after the
+  // recording pass every replayed stamp hits its tape entry.
+  {
+    auto nl = makeRcNetlist();
+    nl->finalize();
+    MnaSystem sys(*nl);
+    TelemetryRegistry reg(1);
+    TelemetryScope scope(reg, 0);
+    runTransient(sys, 0.0, 10e-9, 20e-12, {});
+    EXPECT_GT(reg.counterTotal(Counter::kMnaEvals), 100u);
+    EXPECT_EQ(reg.counterTotal(Counter::kStampTapeMisses), 0u);
+  }
+  // The pass gate's drain/source swap reorders the MOSFET's stamps: the
+  // swapped passes miss (and heal) tape entries.
+  {
+    auto nl = makePassGateNetlist();
+    nl->finalize();
+    MnaSystem sys(*nl);
+    TelemetryRegistry reg(1);
+    TelemetryScope scope(reg, 0);
+    const TransientResult tr = runTransient(sys, 0.0, 3e-9, 10e-12, {});
+    const int out = nl->nodeIndex(nl->node("out"));
+    const int in = nl->nodeIndex(nl->node("in"));
+    bool reversed = false;  // the device really conducted both ways
+    for (const RealVector& x : tr.states) reversed |= x[out] > x[in] + 0.1;
+    EXPECT_TRUE(reversed);
+    EXPECT_GT(reg.counterTotal(Counter::kStampTapeMisses), 0u);
+  }
 }
 
 TEST(SolveStats, DcStatsCountAllLadderIterations) {
@@ -174,7 +226,7 @@ TEST(SolveStats, AddAndSinceComposeAndTreatFactorNnzAsALevel) {
   a.factorNnz = 100;
   SolveStats b;
   b.newtonIterations = 4;
-  b.factorNnz = 0;  // dense leg: must not clobber the sparse level
+  b.factorNnz = 0;  // leg without factors: must not clobber the level
   SolveStats sum = a;
   sum.add(b);
   EXPECT_EQ(sum.newtonIterations, 7u);
