@@ -97,11 +97,11 @@ struct PssResult {
   /// to shooting tolerance.
   std::vector<Real> times;
   std::vector<RealVector> states;
-  /// Linearization G_k/C_k along the orbit at times[k], k=0..M, in the
-  /// workspace's cached pattern (the LPTV and PPV solvers consume them).
   /// Ordering the orbit was factored with; consumers of the stored
   /// linearizations (LPTV step factors, PPV sweep) apply the same one.
   OrderingKind ordering = OrderingKind::kAmd;
+  /// Linearization G_k/C_k along the orbit at times[k], k=0..M, in the
+  /// workspace's cached pattern (the LPTV and PPV solvers consume them).
   std::vector<RealSparse> gSpMats;
   std::vector<RealSparse> cSpMats;
   RealMatrix monodromy;
