@@ -12,19 +12,10 @@ void Stamper::stampSlotSlow(SparseMatrix<Real>& m, TapeCursor& t, int eq,
     return;
   }
   *slot += v;
-  const StampTapeEntry e{stampKey(eq, var),
-                         static_cast<int>(slot - m.values().data())};
-  if (t.pos->key != kStampTapeEnd) {
-    *t.pos++ = e;  // heal the mismatched entry in place
-    ++tapeMisses_;
-    return;
-  }
-  // At the end marker: the recording pass, or a pass with more stamps than
-  // any before it (counted as a miss then).
-  std::vector<StampTapeEntry>& tape = m.stampTape();
-  tape.back() = e;
-  tape.push_back({kStampTapeEnd, 0});
-  t.pos = &tape.back();
+  t.pos = m.tapeRecord(t.pos, stampKey(eq, var),
+                       static_cast<int>(slot - m.values().data()));
+  // On a recorded tape every slow-path stamp replaced or extended a
+  // replayed entry: a miss. The recording pass itself is not one.
   if (t.recorded) ++tapeMisses_;
 }
 

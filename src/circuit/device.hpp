@@ -204,22 +204,19 @@ class Stamper {
   /// Replay position in one matrix's stamp tape.
   struct TapeCursor {
     TapeCursor() = default;
-    explicit TapeCursor(SparseMatrix<Real>& m) {
-      std::vector<StampTapeEntry>& tape = m.stampTape();
-      if (tape.empty()) tape.push_back({kStampTapeEnd, 0});
-      recorded = tape.size() > 1;
-      pos = tape.data();
-      values = m.values().data();
-    }
-    StampTapeEntry* pos = nullptr;
-    Real* values = nullptr;
+    explicit TapeCursor(SparseMatrix<Real>& m)
+        : recorded(m.tapeRecorded()),
+          pos(m.tapeBegin()),
+          values(m.values().data()) {}
     bool recorded = false;  // the tape held a prior pass when attached
+    const StampTapeEntry* pos = nullptr;
+    Real* values = nullptr;
   };
 
   [[gnu::always_inline]] void stampSlot(SparseMatrix<Real>& m, TapeCursor& t,
                                         int eq, int var, Real v) {
-    // The end marker never matches, so one compare covers "recorded" and
-    // "same position as last pass".
+    // The tape's end marker never matches, so one compare covers
+    // "recorded" and "same position as last pass".
     if (t.pos->key == stampKey(eq, var)) [[likely]] {
       t.values[t.pos->slot] += v;
       ++t.pos;

@@ -25,8 +25,7 @@ struct Triplet {
 
 /// One recorded assembly stamp: the (row, col) position a stamp call
 /// addressed, packed into one key so a replay checks it with a single
-/// compare, and the value slot find() resolved it to. A recorded tape ends
-/// in one kStampTapeEnd entry, which no stamp position matches.
+/// compare, and the value slot find() resolved it to.
 struct StampTapeEntry {
   uint64_t key = 0;
   int slot = 0;
@@ -35,7 +34,6 @@ inline constexpr uint64_t stampKey(int row, int col) {
   return (uint64_t{static_cast<uint32_t>(row)} << 32) |
          static_cast<uint32_t>(col);
 }
-inline constexpr uint64_t kStampTapeEnd = ~uint64_t{0};
 
 template <class T>
 class SparseMatrix {
@@ -105,7 +103,33 @@ class SparseMatrix {
   /// each stamp in O(1) instead of a find(). A cache bound to the pattern:
   /// a pattern rebuild (fromTriplets) starts it empty, and copies start
   /// empty too, so only the matrix that is stamped into ever carries one.
-  std::vector<StampTapeEntry>& stampTape() { return tape_; }
+  ///
+  /// A pass walks a read-only cursor from tapeBegin(): an entry whose key
+  /// matches the stamp is consumed by advancing the cursor; anything else
+  /// goes through tapeRecord(). The tape ends in an end-marker entry that
+  /// no stamp key matches, so a replay needs no separate bounds check.
+  const StampTapeEntry* tapeBegin() {
+    if (tape_.empty()) tape_.push_back({kTapeEnd, 0});
+    return tape_.data();
+  }
+  /// True when the tape holds entries from an earlier pass.
+  bool tapeRecorded() const { return tape_.size() > 1; }
+  /// Records (key, slot) at cursor `at` from tapeBegin() and returns the
+  /// advanced cursor: a mismatched entry is overwritten in place; at the
+  /// end marker the entry is appended (a recording pass, or a pass with
+  /// more stamps than any before it).
+  const StampTapeEntry* tapeRecord(const StampTapeEntry* at, uint64_t key,
+                                   int slot) {
+    if (at->key != kTapeEnd) {
+      tape_[static_cast<size_t>(at - tape_.data())] = {key, slot};
+      return at + 1;
+    }
+    tape_.back() = {key, slot};
+    tape_.push_back({kTapeEnd, 0});
+    return &tape_.back();
+  }
+  /// The recorded entries plus the end marker (empty before any pass).
+  std::span<const StampTapeEntry> stampTape() const { return tape_; }
 
   /// y = A x.
   std::vector<T> multiply(std::span<const T> x) const;
@@ -122,6 +146,7 @@ class SparseMatrix {
   std::vector<int> rowIdx_;  // size nnz, sorted within each column
   std::vector<T> values_;    // size nnz
   std::vector<StampTapeEntry> tape_;
+  static constexpr uint64_t kTapeEnd = ~uint64_t{0};
 };
 
 using RealSparse = SparseMatrix<Real>;

@@ -45,16 +45,14 @@ void expectStatesMatch(const PssResult& a, const PssResult& b, Real tol) {
   }
 }
 
-/// Compares every `every`-th orbit state against a flattened frozen
-/// reference of the same sampling.
+/// Compares every orbit state against a flattened frozen reference.
 void expectStatesMatchFrozen(const PssResult& pss,
-                             std::span<const double> ref, size_t every,
-                             Real tol) {
+                             std::span<const double> ref, Real tol) {
   const size_t n = pss.states[0].size();
-  ASSERT_EQ(ref.size(), ((pss.states.size() + every - 1) / every) * n);
-  for (size_t k = 0, row = 0; k < pss.states.size(); k += every, ++row) {
+  ASSERT_EQ(ref.size(), pss.states.size() * n);
+  for (size_t k = 0; k < pss.states.size(); ++k) {
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(pss.states[k][i], ref[row * n + i], tol)
+      EXPECT_NEAR(pss.states[k][i], ref[k * n + i], tol)
           << "k=" << k << " unknown " << i;
     }
   }
@@ -96,11 +94,9 @@ TEST_P(PssDrivenGolden, OrbitMatchesDenseReferenceAndOracles) {
             rows == 1 ? dense_ref::kPssDrivenRows1ShootingIters
                       : dense_ref::kPssDrivenRows8ShootingIters);
   if (rows == 1) {
-    expectStatesMatchFrozen(pss, dense_ref::kPssDrivenRows1States,
-                            dense_ref::kPssDrivenRows1Every, kGoldenTol);
+    expectStatesMatchFrozen(pss, dense_ref::kPssDrivenRows1States, kGoldenTol);
   } else {
-    expectStatesMatchFrozen(pss, dense_ref::kPssDrivenRows8States,
-                            dense_ref::kPssDrivenRows8Every, kGoldenTol);
+    expectStatesMatchFrozen(pss, dense_ref::kPssDrivenRows8States, kGoldenTol);
   }
 
   // Monodromy oracle: Phi = prod_k (G_k + C_k/h)^{-1} (C_{k-1}/h) rebuilt
@@ -171,12 +167,11 @@ struct RingGolden {
 /// headline quantity of the oscillator analyses), orbit, and dxdT.
 void expectAutonomousMatchesReference(const PssResult& pss, Real refPeriod,
                                       std::span<const double> refStates,
-                                      size_t every,
                                       std::span<const double> refDxdT,
                                       Real periodTol, Real stateTol,
                                       Real dxdTTol) {
   EXPECT_NEAR(pss.period, refPeriod, periodTol * refPeriod);
-  expectStatesMatchFrozen(pss, refStates, every, stateTol);
+  expectStatesMatchFrozen(pss, refStates, stateTol);
   // dxdT is a finite difference over dT = 1e-4*T, so the Newton noise
   // floor is amplified by 1/dT: compare it to a tolerance that respects
   // the fixture's conditioning, not the golden tolerance.
@@ -197,8 +192,7 @@ TEST(PssAutonomousGolden, SmallRingMatchesDenseReference) {
                          pssOptions(300));
   expectAutonomousMatchesReference(
       pss, dense_ref::kSmallRingPeriod, dense_ref::kSmallRingStates,
-      dense_ref::kSmallRingEvery, dense_ref::kSmallRingDxdT, 1e-8, 1e-7,
-      1e-6);
+      dense_ref::kSmallRingDxdT, 1e-8, 1e-7, 1e-6);
 }
 
 TEST(PssAutonomousGolden, LargeRingMatchesDenseReference) {
@@ -220,8 +214,7 @@ TEST(PssAutonomousGolden, LargeRingMatchesDenseReference) {
       pssOptions(180));
   expectAutonomousMatchesReference(
       pss, dense_ref::kLargeRingPeriod, dense_ref::kLargeRingStates,
-      dense_ref::kLargeRingEvery, dense_ref::kLargeRingDxdT, 1e-10, 1e-9,
-      5e-3);
+      dense_ref::kLargeRingDxdT, 1e-10, 1e-9, 5e-3);
 }
 
 TEST(PssAutonomousGolden, ShootingConvergesFastOnRingOscillator) {

@@ -34,23 +34,22 @@ TranOptions tightOptions() {
   return opt;
 }
 
-/// Compares every `every`-th stored state (the first included) against a
-/// flattened frozen reference of the same sampling.
+/// Compares every stored state against a flattened frozen reference.
 void expectStatesMatchFrozen(const std::vector<RealVector>& states,
-                             std::span<const double> ref, size_t every,
-                             Real tol) {
+                             std::span<const double> ref, Real tol) {
   ASSERT_FALSE(states.empty());
   const size_t n = states[0].size();
-  ASSERT_EQ(ref.size(), ((states.size() + every - 1) / every) * n);
-  for (size_t k = 0, row = 0; k < states.size(); k += every, ++row) {
+  ASSERT_EQ(ref.size(), states.size() * n);
+  for (size_t k = 0; k < states.size(); ++k) {
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(states[k][i], ref[row * n + i], tol)
+      EXPECT_NEAR(states[k][i], ref[k * n + i], tol)
           << "state " << k << " unknown " << i;
     }
   }
 }
 
-/// Same for sensitivities: per source, every `every`-th time point.
+/// Sensitivities against the frozen table: per source, every `every`-th
+/// time point (see dense_reference.hpp for why the table is sampled).
 void expectSensMatchFrozen(const TransientSensitivityResult& res,
                            std::span<const double> ref, size_t every) {
   const size_t n = res.states[0].size();
@@ -65,6 +64,57 @@ void expectSensMatchFrozen(const TransientSensitivityResult& res,
             << "source " << s << " t=" << res.times[k] << " unknown " << i;
       }
     }
+  }
+}
+
+/// Live oracle for every accepted step of the sensitivity recursion: one
+/// backward-Euler sensitivity step from the stored s_{k-1},
+///   (G_k + C_k/h) s_k = (C_{k-1}/h) s_{k-1} - bf_k - (bq_k - bq_{k-1})/h,
+/// assembled with evalDense at the stored states and solved with DenseLU,
+/// must reproduce the stored s_k. Together with the sampled frozen table
+/// this checks every time point of every source.
+void expectSensStepsMatchDenseOracle(const MnaSystem& sys,
+                                     std::span<const InjectionSource> sources,
+                                     const TransientSensitivityResult& res) {
+  const size_t n = sys.size(), ns = sources.size();
+  ASSERT_EQ(res.sens.size(), ns);
+  RealMatrix g, c, cPrev;
+  RealVector bf;
+  std::vector<RealVector> bqPrev(ns);
+  sys.evalDense(res.states[0], res.times[0], nullptr, nullptr, nullptr,
+                &cPrev, {});
+  for (size_t i = 0; i < ns; ++i) {
+    sys.evalInjection(sources[i], res.states[0], res.times[0], &bf,
+                      &bqPrev[i]);
+  }
+  RealVector rhs(n * ns), bq;
+  for (size_t k = 1; k < res.times.size(); ++k) {
+    const Real h = res.times[k] - res.times[k - 1];
+    const RealVector& x = res.states[k];
+    sys.evalDense(x, res.times[k], nullptr, nullptr, &g, &c, {});
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t col = 0; col < n; ++col) g(r, col) += c(r, col) / h;
+    }
+    for (size_t i = 0; i < ns; ++i) {
+      sys.evalInjection(sources[i], x, res.times[k], &bf, &bq);
+      const RealVector& sPrev = res.sens[i][k - 1];
+      for (size_t r = 0; r < n; ++r) {
+        Real cs = 0.0;
+        for (size_t m = 0; m < n; ++m) cs += cPrev(r, m) * sPrev[m];
+        rhs[i * n + r] = cs / h - bf[r] - (bq[r] - bqPrev[i][r]) / h;
+      }
+      bqPrev[i] = bq;
+    }
+    DenseLU<Real>(g).solveManyInPlace(rhs, ns);
+    for (size_t i = 0; i < ns; ++i) {
+      for (size_t r = 0; r < n; ++r) {
+        const Real ref = rhs[i * n + r];
+        EXPECT_NEAR(res.sens[i][k][r], ref,
+                    kGoldenTol * std::max(1.0, std::fabs(ref)))
+            << "source " << i << " t=" << res.times[k] << " unknown " << r;
+      }
+    }
+    cPrev = c;
   }
 }
 
@@ -316,8 +366,7 @@ TEST(SparseTransient, InverterChainMatchesDenseReference) {
 
   const TransientResult tr = runTransient(sys, 0.0, 2e-9, 5e-12, tightOptions());
   ASSERT_EQ(tr.times.size(), dense_ref::kChainTranPoints);
-  expectStatesMatchFrozen(tr.states, dense_ref::kChainTranStates,
-                          dense_ref::kChainTranEvery, kGoldenTol);
+  expectStatesMatchFrozen(tr.states, dense_ref::kChainTranStates, kGoldenTol);
 }
 
 /// The ring fixture's kicked start; the frozen kick pins that the DC
@@ -346,8 +395,7 @@ TEST(SparseTransient, RingOscillatorMatchesDenseReference) {
   sopt.initialState = &kick;
   const TransientResult tr = runTransient(sys, 0.0, 1e-9, 5e-12, sopt);
   ASSERT_EQ(tr.times.size(), dense_ref::kRingTranPoints);
-  expectStatesMatchFrozen(tr.states, dense_ref::kRingTranStates,
-                          dense_ref::kRingTranEvery, kGoldenTol);
+  expectStatesMatchFrozen(tr.states, dense_ref::kRingTranStates, kGoldenTol);
 }
 
 TEST(SparseTransient, TrapezoidalAdaptiveMatchesDenseReference) {
@@ -365,12 +413,10 @@ TEST(SparseTransient, TrapezoidalAdaptiveMatchesDenseReference) {
   sopt.adaptive = true;
   const TransientResult tr = runTransient(sys, 0.0, 1e-9, 5e-12, sopt);
   ASSERT_EQ(tr.times.size(), dense_ref::kChainTrapPoints);
-  for (size_t k = 0, row = 0; k < tr.times.size();
-       k += dense_ref::kChainTrapEvery, ++row) {
-    EXPECT_NEAR(tr.times[k], dense_ref::kChainTrapTimes[row], 1e-22) << k;
+  for (size_t k = 0; k < tr.times.size(); ++k) {
+    EXPECT_NEAR(tr.times[k], dense_ref::kChainTrapTimes[k], 1e-22) << k;
   }
-  expectStatesMatchFrozen(tr.states, dense_ref::kChainTrapStates,
-                          dense_ref::kChainTrapEvery, kGoldenTol);
+  expectStatesMatchFrozen(tr.states, dense_ref::kChainTrapStates, kGoldenTol);
 }
 
 // ------------------------------------------------------------ sensitivity
@@ -389,9 +435,10 @@ TEST(SparseSensitivity, InverterChainMatchesDenseReference) {
       sys, 0.0, 1.5e-9, 5e-12, sources, tightOptions());
   ASSERT_EQ(res.times.size(), dense_ref::kChainSensPoints);
   expectStatesMatchFrozen(res.states, dense_ref::kChainSensStates,
-                          dense_ref::kChainSensStatesEvery, kGoldenTol);
+                          kGoldenTol);
   expectSensMatchFrozen(res, dense_ref::kChainSens,
                         dense_ref::kChainSensEvery);
+  expectSensStepsMatchDenseOracle(sys, sources, res);
   // The shared-Jacobian recursion must not add factorizations beyond the
   // Newton kernel's own (plus the initial DC-sensitivity factor).
   EXPECT_LE(res.stats.totalFactorizations(),
@@ -411,7 +458,9 @@ TEST(SparseSensitivity, RingOscillatorMatchesDenseReference) {
   const TransientSensitivityResult res =
       runTransientSensitivity(sys, 0.0, 0.5e-9, 2e-12, sources, sopt);
   ASSERT_EQ(res.times.size(), dense_ref::kRingSensPoints);
+  expectStatesMatchFrozen(res.states, dense_ref::kRingSensStates, kGoldenTol);
   expectSensMatchFrozen(res, dense_ref::kRingSens, dense_ref::kRingSensEvery);
+  expectSensStepsMatchDenseOracle(sys, sources, res);
 }
 
 // ------------------------------------------------- fill-reducing ordering
@@ -484,7 +533,7 @@ TEST(SparseOrdering, TransientAgreesAcrossOrderings) {
     const TransientResult tr = runTransient(sys, 0.0, 1e-9, 5e-12, sopt);
     ASSERT_EQ(tr.times.size(), dense_ref::kChainTran1nsPoints);
     expectStatesMatchFrozen(tr.states, dense_ref::kChainTran1nsStates,
-                            dense_ref::kChainTran1nsEvery, kGoldenTol);
+                            kGoldenTol);
   }
 }
 
