@@ -61,9 +61,20 @@ void SparseLU<T>::factor(const SparseMatrix<T>& a, double pivotThreshold,
   const auto aIdx = a.rowIndices();
   const auto aVal = a.values();
 
-  colOrder_ = orderColumns(a, ordering);
-  invColOrder_.assign(n_, 0);
-  for (size_t k = 0; k < n_; ++k) invColOrder_[colOrder_[k]] = static_cast<int>(k);
+  // The column order depends only on the pattern and the ordering kind, so
+  // a full factor of an already ordered pattern (the fallback after a
+  // refactor() pivot failure) keeps it.
+  if (ordering != orderedKind_ || !std::ranges::equal(aPtr, orderedPtr_) ||
+      !std::ranges::equal(aIdx, orderedIdx_)) {
+    colOrder_ = orderColumns(a, ordering);
+    invColOrder_.assign(n_, 0);
+    for (size_t k = 0; k < n_; ++k) {
+      invColOrder_[colOrder_[k]] = static_cast<int>(k);
+    }
+    orderedKind_ = ordering;
+    orderedPtr_.assign(aPtr.begin(), aPtr.end());
+    orderedIdx_.assign(aIdx.begin(), aIdx.end());
+  }
 
   rowPerm_.assign(n_, -1);  // original row -> permuted position
   permRow_.assign(n_, -1);  // permuted position -> original row

@@ -109,6 +109,9 @@ class SparseLU {
   std::vector<int> permRow_;     // inverse: permuted row -> original row
   std::vector<int> colOrder_;    // column elimination order
   std::vector<int> invColOrder_; // inverse of colOrder_
+  // The pattern and ordering kind colOrder_ was computed for.
+  OrderingKind orderedKind_ = OrderingKind::kNatural;
+  std::vector<int> orderedPtr_, orderedIdx_;
   // Scratch reused across refactor/solve calls (kept zeroed between uses).
   // work_ backs refactor() (exclusive); scratch_ backs the scratch-less
   // const solves, which are therefore not concurrently callable.

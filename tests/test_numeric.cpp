@@ -230,6 +230,31 @@ TEST(SparseLu, RefactorMatchesFullFactor) {
   }
 }
 
+TEST(SparseLu, RepeatedFactorMatchesAFreshFactorization) {
+  // One SparseLU across factor() calls keeps its column order while the
+  // pattern and ordering kind repeat, and recomputes it when either
+  // changes: every factorization must solve bit for bit like a fresh one.
+  const size_t n = 40;
+  const struct {
+    uint64_t patternSeed, salt;
+    OrderingKind kind;
+  } calls[] = {
+      {3, 0, OrderingKind::kAmd},    {3, 1, OrderingKind::kAmd},
+      {9, 0, OrderingKind::kAmd},    {3, 2, OrderingKind::kAmd},
+      {3, 3, OrderingKind::kDegree}, {3, 4, OrderingKind::kAmd},
+  };
+  SparseLU<Real> reused;
+  RealVector b(n);
+  for (size_t i = 0; i < n; ++i) b[i] = std::sin(1.0 + static_cast<Real>(i));
+  for (const auto& call : calls) {
+    const auto a = patternedRandom(n, call.patternSeed, call.salt);
+    reused.factor(a, 0.1, call.kind);
+    const SparseLU<Real> fresh(a, 0.1, call.kind);
+    EXPECT_EQ(reused.solve(b), fresh.solve(b))
+        << "pattern " << call.patternSeed << " salt " << call.salt;
+  }
+}
+
 TEST(SparseLu, RefactorRejectsCollapsedPivot) {
   // Factor a well-conditioned matrix, then refactor with values that drive
   // the kept pivot to zero: refactor must decline rather than divide by ~0.
