@@ -22,6 +22,11 @@
 //       BM_SweepScaling runs in-process. procs=1 still pays one worker
 //       process, so the procs=1 -> in-process jobs=1 gap is the floor
 //       cost of the process boundary itself.
+//   BM_FixtureSweep/<fixture>/<N>           — N mismatch transients of
+//       the MOSFET chain (0) or the BJT op-amp follower (1) through
+//       runScenarioSweep on one job.
+//   BM_FixtureMc/<fixture>/<N>              — the same draws through
+//       MonteCarloEngine on one job (its serial path).
 //
 // Expected shape on a multi-core box (the CI runner): near-linear sweep
 // scaling — on the ragged mix too, which only scales if the steal path
@@ -279,20 +284,27 @@ BENCHMARK(BM_SweepProcs)
     ->Args({16, 4})
     ->Unit(benchmark::kMillisecond);
 
-/// Mismatch-sweep fixtures for the batched-evaluation benchmarks: the
-/// MOSFET inverter chain and the BJT op-amp follower, each with a short
-/// transient window so the per-scenario setup the batch amortizes (netlist
-/// build, finalize, MnaSystem, symbolic pattern) is a realistic fraction
-/// of the work — the regime `--sweep mc:N` runs in.
-BatchSweepSpec batchBenchSpec(int fixture, size_t count) {
-  BatchSweepSpec spec;
+/// Mismatch-sweep fixtures: the MOSFET inverter chain (0) and the BJT
+/// op-amp follower (1), each with a short transient window so the
+/// per-scenario setup (netlist build, finalize, MnaSystem, symbolic
+/// pattern) is a realistic fraction of the work — the regime
+/// `--sweep mc:N` runs in.
+struct SweepFixture {
+  NetlistFactory make;
+  std::string outNode;
+  Real t1 = 0.0, dt = 0.0;
+  TranOptions tran;
+};
+
+SweepFixture sweepFixture(int fixture) {
+  SweepFixture fx;
   if (fixture == 0) {
-    spec.make = [] { return makeChain(8, 1, 4e-15); };
-    spec.outNode = "ch8";
-    spec.t1 = 0.4e-9;
-    spec.dt = 20e-12;
+    fx.make = [] { return makeChain(8, 1, 4e-15); };
+    fx.outNode = "ch8";
+    fx.t1 = 0.4e-9;
+    fx.dt = 20e-12;
   } else {
-    spec.make = [] {
+    fx.make = [] {
       auto nl = std::make_unique<Netlist>();
       BjtFollowerOptions fopt;
       fopt.tStep = 1e-9;
@@ -301,139 +313,89 @@ BatchSweepSpec batchBenchSpec(int fixture, size_t count) {
       buildBjtFollower(*nl, BjtKit::bipolar5(), fopt);
       return nl;
     };
-    spec.outNode = "out";
-    spec.t1 = 4e-9;
-    spec.dt = 0.1e-9;
+    fx.outNode = "out";
+    fx.t1 = 4e-9;
+    fx.dt = 0.1e-9;
   }
-  spec.configure = [](Netlist& nl, size_t k) {
-    applyMismatchSample(nl.mismatchParams(), nullptr, /*seed=*/1, k);
-  };
-  spec.count = count;
-  spec.tran.storeStates = false;
-  spec.batch.enabled = true;
-  spec.batch.lanes = 16;
-  return spec;
+  fx.tran.storeStates = false;
+  return fx;
 }
 
-/// Scenario-batched sweep vs the scalar oracle on the same mismatch draws:
-///   BM_BatchEval/<fixture>/<N>/<batched>  fixture 0 = MOSFET chain,
-///   1 = BJT op-amp follower; batched 0 runs runScenarioSweep (the exact
-///   delegation-target scenarios), 1 runs runScenarioSweepBatched.
-///
-/// What the pairwise ratio measures: results are pinned bit-identical to
-/// the scalar oracle (tests/test_batch_eval.cpp), so the batched path
-/// performs the same per-lane Newton math — what it amortizes is the
-/// per-scenario *structure*: netlist build + finalize + MnaSystem, the
-/// symbolic pattern (built once per tile, copied to the other lanes), and
-/// the device-walk dispatch (one structural walk per iteration instead of
-/// N). On these compute-bound fixtures that structure is a few percent of
-/// a scenario (the chain spends ~1.7us per Newton iteration on model math
-/// + dense factor), so on the 1-core container the ratio pins the batch's
-/// *overhead* — batched=1 must not run materially slower than batched=0 —
-/// exactly as the sweep-scaling baselines pin the pool's. The headline
-/// win grows with the setup:stepping ratio (short windows, large N, deck
-/// parsing in the CLI) and with lane-vectorizable device mixes.
-void BM_BatchEval(benchmark::State& state) {
+/// Single-thread mismatch sweep: BM_FixtureSweep/<fixture>/<N> runs N
+/// scenarios through runScenarioSweep on one job, scenario k carrying MC
+/// sample k's draw (seed 1). The only single-thread BJT-follower sweep.
+void BM_FixtureSweep(benchmark::State& state) {
   const int fixture = static_cast<int>(state.range(0));
   const auto n = static_cast<size_t>(state.range(1));
-  const bool batched = state.range(2) != 0;
-  const BatchSweepSpec spec = batchBenchSpec(fixture, n);
+  const SweepFixture fx = sweepFixture(fixture);
   std::vector<SweepScenario> scenarios;
-  if (!batched) {
-    for (size_t k = 0; k < n; ++k) {
-      SweepScenario sc;
-      sc.name = spec.namePrefix + std::to_string(k);
-      sc.make = [make = spec.make, configure = spec.configure, k] {
-        auto nl = make();
-        nl->finalize();
-        configure(*nl, k);
-        return nl;
-      };
-      sc.analysis = SweepAnalysis::kTransient;
-      sc.outNode = spec.outNode;
-      sc.t1 = spec.t1;
-      sc.dt = spec.dt;
-      sc.tran = spec.tran;
-      scenarios.push_back(std::move(sc));
-    }
+  for (size_t k = 0; k < n; ++k) {
+    SweepScenario sc;
+    sc.name = "mc" + std::to_string(k);
+    sc.make = [make = fx.make, k] {
+      auto nl = make();
+      nl->finalize();
+      applyMismatchSample(nl->mismatchParams(), nullptr, /*seed=*/1, k);
+      return nl;
+    };
+    sc.analysis = SweepAnalysis::kTransient;
+    sc.outNode = fx.outNode;
+    sc.t1 = fx.t1;
+    sc.dt = fx.dt;
+    sc.tran = fx.tran;
+    scenarios.push_back(std::move(sc));
   }
   ThreadPool pool(1);
   for (auto _ : state) {
-    const auto results = batched ? runScenarioSweepBatched(spec, pool)
-                                 : runScenarioSweep(scenarios, pool);
+    const auto results = runScenarioSweep(scenarios, pool);
     for (const auto& r : results) {
       if (!r.ok) state.SkipWithError(r.error.c_str());
     }
     benchmark::DoNotOptimize(results);
   }
   state.counters["scenarios"] = static_cast<double>(n);
-  state.counters["batched"] = batched ? 1.0 : 0.0;
 }
-BENCHMARK(BM_BatchEval)
-    ->Args({0, 64, 0})
-    ->Args({0, 64, 1})
-    ->Args({1, 64, 0})
-    ->Args({1, 64, 1})
+BENCHMARK(BM_FixtureSweep)
+    ->Args({0, 64})
+    ->Args({1, 64})
     ->Unit(benchmark::kMillisecond);
 
-/// Monte Carlo through the engine, scalar vs batched:
-///   BM_McBatched/<fixture>/<N>/<batched> — same fixtures as BM_BatchEval.
-/// The scalar side is the engine's factory path with an opaque
-/// runTransient measurement; the batched side declares the equivalent
-/// McTransientSpec and flips McOptions::batch. Sample streams are
-/// bit-identical (tests/test_batch_eval.cpp); see BM_BatchEval for what
-/// the pairwise ratio pins on this container.
-void BM_McBatched(benchmark::State& state) {
+/// Monte Carlo through the engine: BM_FixtureMc/<fixture>/<N> runs N
+/// samples of the BM_FixtureSweep fixtures (same draws) on one job, each
+/// measured by an opaque runTransient. The netlist factory is installed,
+/// but at one job the engine takes its serial path on the primary netlist
+/// and never calls it.
+void BM_FixtureMc(benchmark::State& state) {
   const int fixture = static_cast<int>(state.range(0));
   const auto n = static_cast<size_t>(state.range(1));
-  const bool batched = state.range(2) != 0;
-  const BatchSweepSpec spec = batchBenchSpec(fixture, n);
+  const SweepFixture fx = sweepFixture(fixture);
 
-  auto primary = spec.make();
+  auto primary = fx.make();
   primary->finalize();
   MnaSystem sys(*primary);
-  const int outIdx = primary->nodeIndex(spec.outNode);
+  const int outIdx = primary->nodeIndex(fx.outNode);
 
   McOptions opt;
   opt.samples = n;
   opt.seed = 1;
   opt.jobs = 1;
   opt.keepSamples = false;
-  const Real t1 = spec.t1, dt = spec.dt;
-  const TranOptions tran = spec.tran;
-  const McMeasure measure = [&, outIdx](const MnaSystem& s) {
-    const TransientResult tr = runTransient(s, 0.0, t1, dt, tran);
+  const McMeasure measure = [&fx, outIdx](const MnaSystem& s) {
+    const TransientResult tr = runTransient(s, 0.0, fx.t1, fx.dt, fx.tran);
     return RealVector{tr.finalState.at(outIdx)};
   };
-  if (batched) {
-    opt.batch.enabled = true;
-    opt.batch.lanes = 16;
-  }
   MonteCarloEngine engine(sys, opt);
-  engine.setNetlistFactory(spec.make);
-  if (batched) {
-    McTransientSpec mspec;
-    mspec.t1 = t1;
-    mspec.dt = dt;
-    mspec.tran = tran;
-    mspec.measure = [outIdx](const Netlist&, const TransientResult& tr) {
-      return RealVector{tr.finalState.at(outIdx)};
-    };
-    engine.setTransientMeasurement(std::move(mspec));
-  }
+  engine.setNetlistFactory(fx.make);
   for (auto _ : state) {
     const McResult res = engine.run({"vout"}, measure);
     if (res.failedSamples != 0) state.SkipWithError("samples failed");
     benchmark::DoNotOptimize(res);
   }
   state.counters["samples"] = static_cast<double>(n);
-  state.counters["batched"] = batched ? 1.0 : 0.0;
 }
-BENCHMARK(BM_McBatched)
-    ->Args({0, 64, 0})
-    ->Args({0, 64, 1})
-    ->Args({1, 64, 0})
-    ->Args({1, 64, 1})
+BENCHMARK(BM_FixtureMc)
+    ->Args({0, 64})
+    ->Args({1, 64})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

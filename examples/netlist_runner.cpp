@@ -10,12 +10,6 @@
 // netlist, applies its seeded mismatch draw, and runs on its own slot):
 //
 //   netlist_runner deck.sp --sweep mc:64 --jobs 8 [--seed 1] [--probe out]
-//                  [--batch]
-//
-// --batch switches the in-process sweep to scenario-batched evaluation
-// (engine/batch_eval.hpp): scenarios are tiled into lanes that share one
-// netlist walk per Newton iteration. Results stay bit-identical to the
-// scalar sweep; the scalar path remains the default and the oracle.
 //
 // Results are reported in scenario order and are bit-identical for every
 // --jobs value (per-scenario RNG streams are derived from the scenario
@@ -37,12 +31,20 @@
 //                               or Perfetto)
 //   --trace-detail phase|step|kernel   span granularity (default phase)
 //   --progress                  one line per scenario as it completes
+//
+// Numeric values (--jobs, --procs, --seed, the N of --sweep mc:N) are plain
+// unsigned decimals: a sign, any other character or an overflow is
+// rejected, as is a --jobs/--procs above kMaxParallelism. Every rejection
+// exits 1 with a diagnostic before any thread or worker is started.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <string_view>
 
 #include "circuit/parser.hpp"
 #include "core/mismatch_analysis.hpp"
@@ -85,8 +87,32 @@ struct RunnerArgs {
   std::string tracePath;    // --trace <file>
   TraceDetail traceDetail = TraceDetail::kPhase;  // --trace-detail
   bool progress = false;    // --progress
-  bool batch = false;       // --batch: scenario-batched sweep evaluation
 };
+
+/// Ceiling on --jobs and --procs: both size a pool of threads or worker
+/// processes up front, so a typo must fail here rather than start them.
+constexpr uint64_t kMaxParallelism = 1024;
+
+/// Strict unsigned decimal no larger than `max`: digits only, with no
+/// sign, space or trailing character. Anything else prints a diagnostic
+/// naming `flag` and returns false.
+bool parseUnsigned(const char* flag, std::string_view text, uint64_t max,
+                   uint64_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec == std::errc::invalid_argument || ptr != end) {
+    std::fprintf(stderr, "%s expects an unsigned decimal integer, got '%.*s'\n",
+                 flag, static_cast<int>(text.size()), text.data());
+    return false;
+  }
+  if (ec == std::errc::result_out_of_range || out > max) {
+    std::fprintf(stderr, "%s value '%.*s' exceeds the limit of %llu\n", flag,
+                 static_cast<int>(text.size()), text.data(),
+                 static_cast<unsigned long long>(max));
+    return false;
+  }
+  return true;
+}
 
 /// What the metrics report aggregates beyond the registry totals: one
 /// SolveStats per analysis card, and the sweep's per-scenario outcomes.
@@ -106,10 +132,17 @@ bool parseArgs(int argc, char** argv, RunnerArgs& args) {
       }
       return argv[++i];
     };
+    uint64_t n = 0;
     if (a == "--jobs") {
-      args.jobs = std::strtoul(value("--jobs"), nullptr, 10);
+      if (!parseUnsigned("--jobs", value("--jobs"), kMaxParallelism, n)) {
+        return false;
+      }
+      args.jobs = n;
     } else if (a == "--procs") {
-      args.procs = std::strtoul(value("--procs"), nullptr, 10);
+      if (!parseUnsigned("--procs", value("--procs"), kMaxParallelism, n)) {
+        return false;
+      }
+      args.procs = n;
       if (args.procs == 0) {
         std::fprintf(stderr, "--procs needs N >= 1\n");
         return false;
@@ -117,7 +150,9 @@ bool parseArgs(int argc, char** argv, RunnerArgs& args) {
     } else if (a == "--worker") {
       args.worker = true;
     } else if (a == "--seed") {
-      args.seed = std::strtoull(value("--seed"), nullptr, 10);
+      if (!parseUnsigned("--seed", value("--seed"), UINT64_MAX, args.seed)) {
+        return false;
+      }
     } else if (a == "--probe") {
       args.probe = value("--probe");
     } else if (a == "--metrics") {
@@ -140,8 +175,6 @@ bool parseArgs(int argc, char** argv, RunnerArgs& args) {
       }
     } else if (a == "--progress") {
       args.progress = true;
-    } else if (a == "--batch") {
-      args.batch = true;
     } else if (a == "--sweep") {
       const std::string spec = value("--sweep");
       if (spec.rfind("mc:", 0) != 0) {
@@ -149,7 +182,11 @@ bool parseArgs(int argc, char** argv, RunnerArgs& args) {
                      spec.c_str());
         return false;
       }
-      args.sweepSamples = std::strtoul(spec.c_str() + 3, nullptr, 10);
+      if (!parseUnsigned("--sweep mc:<N>", std::string_view(spec).substr(3),
+                         SIZE_MAX, n)) {
+        return false;
+      }
+      args.sweepSamples = n;
       if (args.sweepSamples == 0) {
         std::fprintf(stderr, "--sweep mc:<N> needs N >= 1\n");
         return false;
@@ -218,11 +255,6 @@ int runSweep(const std::string& deckText, const ParsedCircuit& pc,
   }
 
   std::vector<SweepResult> results;
-  if (args.batch && args.procs > 1) {
-    std::fprintf(stderr,
-                 "--batch applies to in-process sweeps; ignored with "
-                 "--procs > 1\n");
-  }
   if (args.procs > 1) {
     // Multi-process mode: serializable scenario specs shipped to --worker
     // re-entries of this binary; the workers rebuild sample k's netlist
@@ -254,35 +286,6 @@ int runSweep(const std::string& deckText, const ParsedCircuit& pc,
                 probe.c_str(), static_cast<unsigned long long>(args.seed));
     const std::vector<std::string> decks = {deckText};
     results = runProcessSweep(decks, scenarios, popt, &reg, onProgress);
-  } else if (args.batch) {
-    // Scenario-batched in-process sweep: same deck, window, retry policy,
-    // and (seed, k) mismatch stream as the scalar path below — batched
-    // results are bit-identical to it (docs/architecture.md "Batched
-    // evaluation").
-    const auto deck = std::make_shared<const std::string>(deckText);
-    BatchSweepSpec spec;
-    spec.make = [deck] {
-      ParsedCircuit spc = parseNetlistString(*deck);
-      return std::move(spc.netlist);
-    };
-    spec.configure = [seed = args.seed](Netlist& nl, size_t k) {
-      applyMismatchSample(nl.mismatchParams(), nullptr, seed, k);
-    };
-    spec.count = args.sweepSamples;
-    spec.outNode = probe;
-    spec.t1 = tstop;
-    spec.dt = dt;
-    spec.tran.storeStates = false;
-    spec.retry.maxRetries = 2;
-    spec.batch.enabled = true;
-    ThreadPool pool(args.jobs);
-    pool.attachTelemetry(&reg);
-    std::printf("sweep: %zu mismatch scenarios of .tran %s %s on %zu "
-                "job(s) [batched, %zu lanes], probe v(%s), seed %llu\n",
-                spec.count, formatEng(dt).c_str(), formatEng(tstop).c_str(),
-                pool.jobCount(), spec.batch.lanes, probe.c_str(),
-                static_cast<unsigned long long>(args.seed));
-    results = runScenarioSweepBatched(spec, pool, onProgress);
   } else {
     // One shared copy of the deck source: each scenario re-parses it into
     // a private netlist and applies its sample draw — applyMismatchSample

@@ -65,8 +65,8 @@ HOT_PREFIXES = (
     "BM_SweepProcs",
     "BM_SensitivityParallel",
     "BM_MonodromyParallel",
-    "BM_BatchEval",
-    "BM_McBatched",
+    "BM_FixtureSweep",
+    "BM_FixtureMc",
 )
 ANCHOR = "BM_DenseLuFactor/64"
 

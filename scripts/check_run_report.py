@@ -27,7 +27,7 @@ COUNTER_KEYS = {
     "dense_factors", "sparse_factors", "sparse_refactors",
     "factor_nnz_total", "solve_columns", "mna_evals", "newton_iterations",
     "steps_accepted", "scenarios_run", "scenario_retries",
-    "batch_evals", "batch_symbolic_reuse", "stamp_tape_misses",
+    "stamp_tape_misses",
 }
 PHASE_KEYS = {
     "parse", "dc", "transient", "sensitivity", "pss", "lptv", "pnoise",

@@ -61,12 +61,12 @@ struct InjectionSource {
   }
 };
 
-/// Every engine (DC, transient, sensitivity, PSS, LPTV, PPV, batched
-/// sweeps) solves through the sparse backend at every system size: the
-/// cached-pattern assembly with its stamp tape and the pattern-reusing
-/// SparseLU. The dense backend survives only where the matrices are dense
-/// by construction (AC, the bordered shooting systems, the LPTV closure)
-/// and as the test oracle (evalDense, DenseLU). This constant is the
+/// Every engine (DC, transient, sensitivity, PSS, LPTV, PPV) solves
+/// through the sparse backend at every system size: the cached-pattern
+/// assembly with its stamp tape and the pattern-reusing SparseLU. The
+/// dense backend survives only where the matrices are dense by
+/// construction (AC, the bordered shooting systems, the LPTV closure) and
+/// as the test oracle (evalDense, DenseLU). This constant is the
 /// unknown count from which the engines run sparse, i.e. 0: kept so that
 /// code choosing a backend by system size picks the one the engines use.
 inline constexpr size_t kSparseSolverThreshold = 0;
@@ -143,8 +143,8 @@ class MnaSystem {
 /// accumulated triplets, and `diagonals` leading diagonal slots (G gets the
 /// node diagonals so gshunt homotopy stamps in place). Values are zeroed
 /// and the stamp tape starts empty; the caller re-stamps through the
-/// slots, recording a new tape. Shared by MnaSystem::evalSparse
-/// and the batched evaluator (engine/batch_eval.cpp).
+/// slots, recording a new tape. Used by MnaSystem::evalSparse; exposed
+/// for the pattern tests.
 void mnaRebuildPattern(RealSparse* m, size_t n,
                        std::vector<Triplet<Real>>& trips, size_t diagonals);
 

@@ -8,6 +8,16 @@
 #include "util/units.hpp"
 
 namespace psmn {
+
+RealVector TransientResult::waveform(int mnaIndex) const {
+  PSMN_CHECK(mnaIndex >= 0, "waveform of ground requested");
+  RealVector w(states.size());
+  for (size_t i = 0; i < states.size(); ++i) {
+    w[i] = states[i][static_cast<size_t>(mnaIndex)];
+  }
+  return w;
+}
+
 namespace {
 
 // Max-norm that propagates non-finites: std::max drops NaN (the comparison
@@ -39,17 +49,8 @@ void recordStepFailure(TransientWorkspace& ws, const MnaSystem& sys,
   ws.lastFailureNonFinite = nonFinite;
 }
 
-}  // namespace
-
-RealVector TransientResult::waveform(int mnaIndex) const {
-  PSMN_CHECK(mnaIndex >= 0, "waveform of ground requested");
-  RealVector w(states.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    w[i] = states[i][static_cast<size_t>(mnaIndex)];
-  }
-  return w;
-}
-
+/// Method actually used for a step: BE forcing (first step, post-breakpoint)
+/// and the Gear2 startup fallback when no q[n-2] exists yet.
 IntegrationMethod stepMethod(IntegrationMethod method, bool beStep,
                              bool haveQm1) {
   IntegrationMethod m = beStep ? IntegrationMethod::kBackwardEuler : method;
@@ -59,6 +60,8 @@ IntegrationMethod stepMethod(IntegrationMethod method, bool beStep,
   return m;
 }
 
+/// Integration coefficient `a` of R = f1 + a*q1 + rhsQ (J = G + a*C);
+/// fills rhsQ from the charge state.
 Real stepCoefficients(IntegrationMethod m, Real h, const RealVector& q,
                       const RealVector& qd, const RealVector* qm1,
                       RealVector& rhsQ) {
@@ -85,6 +88,12 @@ Real stepCoefficients(IntegrationMethod m, Real h, const RealVector& q,
   return a;
 }
 
+enum class NewtonTailOutcome { kContinue, kConverged, kFailed };
+
+/// One Newton iteration's post-evaluation tail: the caller has just
+/// evaluated the system at ws.x1/t1 into ws.f/ws.q1 and ws.gsp/ws.csp.
+/// Assembles J = G + a*C, forms the residual, factors, solves, and applies
+/// the clamped update to ws.x1. kFailed records the post-mortem on ws.
 NewtonTailOutcome newtonIterationTail(const MnaSystem& sys,
                                       const TranOptions& opt,
                                       TransientWorkspace& ws, Real a, Real t1,
@@ -158,12 +167,8 @@ NewtonTailOutcome newtonIterationTail(const MnaSystem& sys,
   return NewtonTailOutcome::kContinue;
 }
 
-void recordNewtonStagnation(const MnaSystem& sys, const TranOptions& opt,
-                            TransientWorkspace& ws, Real t1) {
-  recordStepFailure(ws, sys, "tran-newton/stagnation", opt.maxNewton, -1.0,
-                    t1, /*nonFinite=*/false);
-}
-
+/// Accepted-step epilogue: updates the charge state from the accepted-point
+/// q1 and swaps (x, q, qd) with the workspace buffers.
 void acceptIntegrationStep(IntegrationMethod m, Real h, RealVector& x,
                            RealVector& q, RealVector& qd,
                            const RealVector* qm1, TransientWorkspace& ws) {
@@ -192,6 +197,8 @@ void acceptIntegrationStep(IntegrationMethod m, Real h, RealVector& x,
   std::swap(qd, ws.qd1);
 }
 
+}  // namespace
+
 bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
                    Real t, Real h, RealVector& x, RealVector& q,
                    RealVector& qd, const RealVector* qm1,
@@ -219,7 +226,8 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
     }
   }
   if (!converged) {
-    recordNewtonStagnation(sys, opt, ws, t1);
+    recordStepFailure(ws, sys, "tran-newton/stagnation", opt.maxNewton, -1.0,
+                      t1, /*nonFinite=*/false);
     return false;
   }
 
@@ -235,18 +243,10 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
   return integrateStep(sys, method, beStep, t, h, x, q, qd, qm1, opt, ws);
 }
 
-FailureDiagnostics stepFailureDiagnostics(const TransientWorkspace& ws,
-                                          Real t) {
-  FailureDiagnostics diag;
-  if (ws.haveFailure) diag = ws.lastFailure;
-  diag.analysis = "transient";
-  if (!diag.hasTime) {
-    diag.time = t;
-    diag.hasTime = true;
-  }
-  return diag;
-}
+namespace {
 
+/// The breakpoint-segmented stop list runTransient integrates over; the
+/// last entry is t1.
 std::vector<Real> transientStops(const MnaSystem& sys, Real t0, Real t1,
                                  Real dt, bool useBreakpoints) {
   // Segment the window at breakpoints; merge stops closer than a fraction
@@ -265,14 +265,18 @@ std::vector<Real> transientStops(const MnaSystem& sys, Real t0, Real t1,
   return stops;
 }
 
-namespace {
-
 /// Builds and throws the run-level error from the workspace post-mortem: a
 /// NaN/Inf escape surfaces as NumericalError, a stalled Newton as
 /// ConvergenceError.
 [[noreturn]] void throwStepFailure(const TransientWorkspace& ws, Real t,
                                    const std::string& what) {
-  FailureDiagnostics diag = stepFailureDiagnostics(ws, t);
+  FailureDiagnostics diag;
+  if (ws.haveFailure) diag = ws.lastFailure;
+  diag.analysis = "transient";
+  if (!diag.hasTime) {
+    diag.time = t;
+    diag.hasTime = true;
+  }
   const std::string msg = what + ": " + diag.describe();
   if (ws.haveFailure && ws.lastFailureNonFinite) {
     throw NumericalError(msg, std::move(diag));

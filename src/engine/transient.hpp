@@ -163,55 +163,4 @@ bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
                    RealVector& qd, const RealVector* qm1,
                    const TranOptions& opt);
 
-// --- shared step-kernel pieces -------------------------------------------
-// integrateStep is decomposed into the helpers below so the scenario-batched
-// lockstep driver (engine/batch_eval.cpp) runs the SAME compiled code for
-// everything around the system evaluation. That is what makes batched
-// results bit-identical to scalar ones by construction: the only difference
-// between the paths is which loop calls the device stamps.
-
-/// Method actually used for a step: BE forcing (first step, post-breakpoint)
-/// and the Gear2 startup fallback when no q[n-2] exists yet.
-IntegrationMethod stepMethod(IntegrationMethod method, bool beStep,
-                             bool haveQm1);
-
-/// Integration coefficient `a` of R = f1 + a*q1 + rhsQ (J = G + a*C);
-/// fills rhsQ from the charge state.
-Real stepCoefficients(IntegrationMethod m, Real h, const RealVector& q,
-                      const RealVector& qd, const RealVector* qm1,
-                      RealVector& rhsQ);
-
-enum class NewtonTailOutcome { kContinue, kConverged, kFailed };
-
-/// One Newton iteration's post-evaluation tail: the caller has just
-/// evaluated the system at ws.x1/t1 into ws.f/ws.q1 and ws.gsp/ws.csp.
-/// Assembles J = G + a*C, forms the
-/// residual, factors, solves, and applies the clamped update to ws.x1.
-/// kFailed records the post-mortem on ws.
-NewtonTailOutcome newtonIterationTail(const MnaSystem& sys,
-                                      const TranOptions& opt,
-                                      TransientWorkspace& ws, Real a, Real t1,
-                                      int iter);
-
-/// Records the Newton-stagnation post-mortem on ws (the caller exhausted
-/// opt.maxNewton iterations without a kConverged tail).
-void recordNewtonStagnation(const MnaSystem& sys, const TranOptions& opt,
-                            TransientWorkspace& ws, Real t1);
-
-/// Accepted-step epilogue: updates the charge state from the accepted-point
-/// q1 and swaps (x, q, qd) with the workspace buffers.
-void acceptIntegrationStep(IntegrationMethod m, Real h, RealVector& x,
-                           RealVector& q, RealVector& qd,
-                           const RealVector* qm1, TransientWorkspace& ws);
-
-/// The breakpoint-segmented stop list runTransient integrates over; the
-/// last entry is t1.
-std::vector<Real> transientStops(const MnaSystem& sys, Real t0, Real t1,
-                                 Real dt, bool useBreakpoints);
-
-/// Run-level failure post-mortem from the workspace (what runTransient
-/// folds into the error it throws; the batched driver records it per lane).
-FailureDiagnostics stepFailureDiagnostics(const TransientWorkspace& ws,
-                                          Real t);
-
 }  // namespace psmn

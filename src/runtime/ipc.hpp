@@ -37,8 +37,10 @@ inline constexpr uint32_t kIpcMagic = 0x31575350;  // "PSW1"
 /// Bumped on any wire-format change; exchanged in the hello frame so a
 /// stale worker binary fails loudly instead of misparsing. Version 2
 /// dropped the backend fields from the TranOptions codec and carries the
-/// stamp_tape_misses counter in the captured-counter block.
-inline constexpr uint32_t kIpcProtocolVersion = 2;
+/// stamp_tape_misses counter in the captured-counter block. Version 3
+/// dropped the two batched-evaluation counters, so the captured-counter
+/// block in each result frame is two entries shorter.
+inline constexpr uint32_t kIpcProtocolVersion = 3;
 /// Upper bound on a frame payload; a corrupt length past this is rejected
 /// before any allocation.
 inline constexpr uint64_t kIpcMaxPayload = uint64_t{1} << 30;

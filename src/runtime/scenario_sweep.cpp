@@ -198,105 +198,4 @@ std::vector<SweepResult> runScenarioSweep(
   return results;
 }
 
-std::vector<SweepResult> runScenarioSweepBatched(
-    const BatchSweepSpec& spec, ThreadPool& pool,
-    const SweepProgressFn& onProgress) {
-  PSMN_CHECK(spec.make != nullptr, "batched sweep needs a deck factory");
-  PSMN_CHECK(spec.configure != nullptr,
-             "batched sweep needs a scenario configurator");
-  PSMN_CHECK(!spec.outNode.empty(), "batched sweep needs an output node");
-  PSMN_CHECK(spec.batch.lanes > 0, "batched sweep needs at least one lane");
-  std::vector<SweepResult> results(spec.count);
-  if (spec.count == 0) return results;
-
-  const size_t lanes = spec.batch.lanes;
-  const size_t tiles = (spec.count + lanes - 1) / lanes;
-  std::mutex progressMutex;
-  // Tiles are the coarse work units: each owns a private netlist/system/
-  // batch stack, so tile evaluation is self-contained and the sweep stays
-  // deterministic for every pool jobs count, like the scalar sweep.
-  pool.parallelFor(tiles, 1, [&](size_t tb, size_t te, size_t) {
-    for (size_t tile = tb; tile < te; ++tile) {
-      const size_t base = tile * lanes;
-      const size_t laneN = std::min(lanes, spec.count - base);
-
-      std::unique_ptr<Netlist> nl = spec.make();
-      PSMN_CHECK(nl != nullptr, "batched sweep factory returned null");
-      nl->finalize();
-      MnaSystem sys(*nl);
-      DeviceBatch db(*nl, laneN);
-      for (size_t l = 0; l < laneN; ++l) {
-        spec.configure(*nl, base + l);
-        db.captureLane(l);
-      }
-      const int outIdx = nl->nodeIndex(spec.outNode);
-      PSMN_CHECK(outIdx >= 0, "unknown output node '" + spec.outNode + "'");
-
-      std::vector<BatchLaneOutcome> outcomes =
-          runTransientBatch(sys, db, spec.t0, spec.t1, spec.dt, spec.tran);
-
-      // Lanes the batch could not finish are re-run wholesale through the
-      // scalar sweep: its first attempt fails bit-identically (same code,
-      // same values), and its retry ladder then escalates exactly as a
-      // scalar-only sweep would. The lane's batch output is discarded, so
-      // kScenariosRun for these lanes is counted by the fallback alone.
-      std::vector<SweepScenario> fallback;
-      std::vector<size_t> fallbackIdx;
-      for (size_t l = 0; l < laneN; ++l) {
-        const size_t k = base + l;
-        BatchLaneOutcome& lane = outcomes[l];
-        if (!lane.ok) {
-          SweepScenario sc;
-          sc.name = spec.namePrefix + std::to_string(k);
-          sc.make = [make = spec.make, configure = spec.configure, k]() {
-            std::unique_ptr<Netlist> nl2 = make();
-            nl2->finalize();
-            configure(*nl2, k);
-            return nl2;
-          };
-          sc.analysis = SweepAnalysis::kTransient;
-          sc.outNode = spec.outNode;
-          sc.t0 = spec.t0;
-          sc.t1 = spec.t1;
-          sc.dt = spec.dt;
-          sc.tran = spec.tran;
-          sc.retry = spec.retry;
-          fallback.push_back(std::move(sc));
-          fallbackIdx.push_back(k);
-          continue;
-        }
-        SweepResult& out = results[k];
-        out.index = k;
-        out.name = spec.namePrefix + std::to_string(k);
-        out.ok = true;
-        out.attempts = 1;
-        out.times = std::move(lane.result.times);
-        out.waveform = lane.result.waveform(outIdx);
-        out.finalState = std::move(lane.result.finalState);
-        out.stats = lane.result.stats;
-        telemetryCount(Counter::kScenariosRun);
-        if (onProgress) {
-          std::lock_guard<std::mutex> lock(progressMutex);
-          onProgress(out);
-        }
-      }
-      if (!fallback.empty()) {
-        // Nested parallelFor runs inline on this slot — the fallback does
-        // not disturb the deterministic tile schedule.
-        std::vector<SweepResult> fixed =
-            runScenarioSweep(fallback, pool, nullptr);
-        for (size_t j = 0; j < fixed.size(); ++j) {
-          fixed[j].index = fallbackIdx[j];
-          results[fallbackIdx[j]] = std::move(fixed[j]);
-          if (onProgress) {
-            std::lock_guard<std::mutex> lock(progressMutex);
-            onProgress(results[fallbackIdx[j]]);
-          }
-        }
-      }
-    }
-  });
-  return results;
-}
-
 }  // namespace psmn

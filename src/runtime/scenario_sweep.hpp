@@ -18,7 +18,6 @@
 #include <span>
 
 #include "core/monte_carlo.hpp"
-#include "engine/batch_eval.hpp"
 #include "engine/transient.hpp"
 #include "rf/pss.hpp"
 #include "runtime/thread_pool.hpp"
@@ -168,37 +167,5 @@ std::vector<SweepResult> runScenarioSweep(
     std::span<const SweepScenario> scenarios, ThreadPool& pool,
     const SweepProgressFn& onProgress = nullptr,
     bool captureCounters = false);
-
-/// Specification of a homogeneous transient sweep — N scenarios that share
-/// one deck and differ only in mismatch/sweep parameter values — eligible
-/// for scenario-batched evaluation (engine/batch_eval.hpp). `configure`
-/// applies scenario k's parameter values to the shared netlist (it must be
-/// idempotent; applyMismatchSample is).
-struct BatchSweepSpec {
-  NetlistFactory make;                              // shared deck factory
-  std::function<void(Netlist&, size_t)> configure;  // scenario k's values
-  size_t count = 0;
-  std::string namePrefix = "mc";  // scenario k is named namePrefix + k
-  std::string outNode;
-  Real t0 = 0.0, t1 = 0.0, dt = 0.0;
-  TranOptions tran;
-  /// Applied by the scalar fallback only (see runScenarioSweepBatched).
-  SweepRetryPolicy retry;
-  BatchOptions batch;
-};
-
-/// Batched counterpart of runScenarioSweep for homogeneous transient
-/// sweeps: scenarios are tiled into batches of `spec.batch.lanes` lanes,
-/// tiles run in parallel on the pool (deterministic for every jobs count —
-/// tiles are self-contained, results land in input order), and each tile
-/// advances its lanes in lockstep through runTransientBatch. A lane that
-/// fails in the batch is re-run WHOLESALE through the scalar
-/// runScenarioSweep — including its retry escalation — so failed-scenario
-/// results (error text, diagnostics, attempts, recovered) are exactly what
-/// the scalar sweep would have reported. Successful lanes are bit-identical
-/// to the scalar path by the batch evaluator's construction.
-std::vector<SweepResult> runScenarioSweepBatched(
-    const BatchSweepSpec& spec, ThreadPool& pool,
-    const SweepProgressFn& onProgress = nullptr);
 
 }  // namespace psmn

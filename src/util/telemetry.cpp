@@ -14,8 +14,6 @@ const char* counterName(Counter c) {
     case Counter::kStepsAccepted: return "steps_accepted";
     case Counter::kScenariosRun: return "scenarios_run";
     case Counter::kScenarioRetries: return "scenario_retries";
-    case Counter::kBatchEvals: return "batch_evals";
-    case Counter::kBatchSymbolicReuse: return "batch_symbolic_reuse";
     case Counter::kStampTapeMisses: return "stamp_tape_misses";
     case Counter::kCount_: break;
   }

@@ -101,8 +101,6 @@ enum class Counter : uint8_t {
   kStepsAccepted,      // accepted integration steps
   kScenariosRun,       // scenario sweep: scenarios evaluated
   kScenarioRetries,    // scenario sweep: extra attempts taken
-  kBatchEvals,         // batched eval: structural walks stamping many lanes
-  kBatchSymbolicReuse, // batched eval: lanes that reused a shared pattern
   kStampTapeMisses,    // sparse assembly: replayed stamps that missed the tape
   kCount_
 };

@@ -163,6 +163,39 @@ def case_bad_inputs(cli):
     expect(p.returncode == 1 and "unknown flag" in p.stderr,
            "unknown flag must exit 1", p)
 
+    # Malformed or out-of-range numeric values, and the removed --batch
+    # flag, must be rejected while the arguments are parsed: the deck path
+    # does not exist, so reaching "cannot open" (or printing the deck
+    # title) would mean the flag got past the parser, where a pool or
+    # worker could have been sized from it.
+    missing = "/nonexistent/deck.sp"
+    for args, cause in (
+            (["--sweep", "mc:-1"], "--sweep mc:<N> expects"),
+            (["--sweep", "mc:5x"], "--sweep mc:<N> expects"),
+            (["--sweep", "mc:"], "--sweep mc:<N> expects"),
+            (["--sweep", "mc:99999999999999999999999"], "exceeds the limit"),
+            (["--jobs", "-1"], "--jobs expects"),
+            (["--jobs", "abc"], "--jobs expects"),
+            (["--jobs", "+2"], "--jobs expects"),
+            (["--jobs", " 2"], "--jobs expects"),
+            (["--jobs", "1025"], "--jobs value '1025' exceeds the limit"),
+            (["--jobs", "18446744073709551616"], "exceeds the limit"),
+            (["--procs", "1025"], "--procs value '1025' exceeds the limit"),
+            (["--procs", "-2"], "--procs expects"),
+            (["--seed", "1e3"], "--seed expects"),
+            (["--batch"], "unknown flag '--batch'")):
+        p = cli.run(missing, *args)
+        expect(p.returncode == 1 and cause in p.stderr
+               and "cannot open" not in p.stderr and "title:" not in p.stdout,
+               f"{' '.join(args)} must exit 1 in argument parsing", p)
+
+    # Values at the ceilings parse; the missing deck then stops the run
+    # before anything is sized from them.
+    p = cli.run(missing, "--jobs", "1024", "--procs", "1024", "--seed",
+                "18446744073709551615", "--sweep", "mc:2")
+    expect(p.returncode == 1 and "cannot open" in p.stderr,
+           "values at the ceilings must pass argument parsing", p)
+
     p = cli.run(cli.deck(), "--sweep", "xyz")
     expect(p.returncode == 1 and "--sweep expects mc:<N>" in p.stderr,
            "bad sweep spec must exit 1", p)
