@@ -11,6 +11,8 @@
 // Gaussian — is what this bench regenerates.
 #include <cmath>
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "bench_util.hpp"
 #include "circuit/stdcell.hpp"
@@ -33,6 +35,7 @@ struct Point {
   Real errorPct;
   Real skewness;
   size_t failed;
+  std::map<std::string, size_t> reasons;  // failure text -> samples
 };
 
 Point runPoint(Real scale, size_t samples) {
@@ -62,11 +65,7 @@ Point runPoint(Real scale, size_t samples) {
     const TransientResult tr =
         runTransient(s, 0.0, 25 * warm.periodEstimate, dt, t2);
     const Waveform w = makeWaveform(tr.times, tr.states, warm.phaseIndex);
-    try {
-      return {measureFrequency(w, kit.vdd / 2, 8)};
-    } catch (const Error& e) {
-      throw SampleFailure(e.what());
-    }
+    return {measureFrequency(w, kit.vdd / 2, 8)};
   };
   McOptions mo;
   mo.samples = samples;
@@ -83,6 +82,7 @@ Point runPoint(Real scale, size_t samples) {
   p.errorPct = 100.0 * (p.sigmaPnRel / p.sigmaMcRel - 1.0);
   p.skewness = mc.moments[0].normalizedSkewness();
   p.failed = mc.failedSamples;
+  for (const McFailure& f : mc.failures) ++p.reasons[f.error];
   return p;
 }
 
@@ -99,6 +99,9 @@ int main() {
     std::printf("%9.1f%% %11.3f%% %11.3f%% %+9.1f%% %+10.3f %8zu\n",
                 100.0 * p.sigma3Ids, 100.0 * p.sigmaPnRel,
                 100.0 * p.sigmaMcRel, p.errorPct, p.skewness, p.failed);
+    for (const auto& [reason, count] : p.reasons) {
+      std::printf("%14zu x %s\n", count, reason.c_str());
+    }
   }
   rule();
   std::printf("Paper's shape: the linear pseudo-noise estimate degrades and "

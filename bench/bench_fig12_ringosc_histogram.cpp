@@ -59,11 +59,7 @@ int main() {
     const TransientResult tr =
         runTransient(s, 0.0, 25 * warm.periodEstimate, dt, t2);
     const Waveform w = makeWaveform(tr.times, tr.states, warm.phaseIndex);
-    try {
-      return {measureFrequency(w, kit.vdd / 2, 8)};
-    } catch (const Error& e) {
-      throw SampleFailure(e.what());
-    }
+    return {measureFrequency(w, kit.vdd / 2, 8)};
   };
   McOptions mo;
   mo.samples = samples;

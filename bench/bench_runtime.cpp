@@ -26,7 +26,8 @@
 //       the MOSFET chain (0) or the BJT op-amp follower (1) through
 //       runScenarioSweep on one job.
 //   BM_FixtureMc/<fixture>/<N>              — the same draws through
-//       MonteCarloEngine on one job (its serial path).
+//       MonteCarloEngine on one job: the same sweep code, plus the
+//       engine's slot-stack setup and in-order accumulation.
 //
 // Expected shape on a multi-core box (the CI runner): near-linear sweep
 // scaling — on the ragged mix too, which only scales if the steal path
@@ -362,9 +363,11 @@ BENCHMARK(BM_FixtureSweep)
 
 /// Monte Carlo through the engine: BM_FixtureMc/<fixture>/<N> runs N
 /// samples of the BM_FixtureSweep fixtures (same draws) on one job, each
-/// measured by an opaque runTransient. The netlist factory is installed,
-/// but at one job the engine takes its serial path on the primary netlist
-/// and never calls it.
+/// measured by an opaque runTransient. The samples run on the same
+/// runScenarioSweep code as BM_FixtureSweep; what the engine adds on top
+/// is its slot-stack setup and the in-order accumulation. At one job the
+/// only slot borrows the primary netlist, so the installed factory is
+/// never called.
 void BM_FixtureMc(benchmark::State& state) {
   const int fixture = static_cast<int>(state.range(0));
   const auto n = static_cast<size_t>(state.range(1));

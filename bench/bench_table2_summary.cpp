@@ -176,11 +176,7 @@ Row benchRingOscillator(size_t samples) {
     t2.initialState = &warm.state;
     const TransientResult tr = runTransient(s, 0.0, 20 * period, dt, t2);
     const Waveform w = makeWaveform(tr.times, tr.states, warm.phaseIndex);
-    try {
-      return {measureFrequency(w, 0.6, 6)};
-    } catch (const Error& e) {
-      throw SampleFailure(e.what());
-    }
+    return {measureFrequency(w, 0.6, 6)};
   };
   McOptions mo;
   mo.samples = samples;

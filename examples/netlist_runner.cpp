@@ -34,8 +34,9 @@
 //
 // Numeric values (--jobs, --procs, --seed, the N of --sweep mc:N) are plain
 // unsigned decimals: a sign, any other character or an overflow is
-// rejected, as is a --jobs/--procs above kMaxParallelism. Every rejection
-// exits 1 with a diagnostic before any thread or worker is started.
+// rejected, as is a --jobs/--procs above kMaxParallelism or an N above
+// kMaxSweepSamples. Every rejection exits 1 with a diagnostic before any
+// thread or worker is started.
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -92,6 +93,11 @@ struct RunnerArgs {
 /// Ceiling on --jobs and --procs: both size a pool of threads or worker
 /// processes up front, so a typo must fail here rather than start them.
 constexpr uint64_t kMaxParallelism = 1024;
+
+/// Ceiling on the N of --sweep mc:N: the sweep allocates every scenario and
+/// result slot before the first one runs, so a huge N must fail here
+/// rather than grow until memory runs out.
+constexpr uint64_t kMaxSweepSamples = 100000;
 
 /// Strict unsigned decimal no larger than `max`: digits only, with no
 /// sign, space or trailing character. Anything else prints a diagnostic
@@ -183,7 +189,7 @@ bool parseArgs(int argc, char** argv, RunnerArgs& args) {
         return false;
       }
       if (!parseUnsigned("--sweep mc:<N>", std::string_view(spec).substr(3),
-                         SIZE_MAX, n)) {
+                         kMaxSweepSamples, n)) {
         return false;
       }
       args.sweepSamples = n;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "runtime/thread_pool.hpp"
+#include "runtime/scenario_sweep.hpp"
 #include "util/telemetry.hpp"
 
 namespace psmn {
@@ -27,27 +27,6 @@ void applyMismatchSample(const std::vector<Netlist::MismatchRef>& params,
   }
   if (corr) corr->applySample(rng);
 }
-
-namespace {
-
-/// Applies sample k's draw, runs the measurement, and clears the deltas.
-/// Returns false on SampleFailure.
-bool evalSample(const MnaSystem& sys, Netlist& nl,
-                const std::vector<Netlist::MismatchRef>& params,
-                const CorrelatedMismatch* corr, uint64_t seed, size_t k,
-                const McMeasure& measure, RealVector& out) {
-  applyMismatchSample(params, corr, seed, k);
-  bool ok = true;
-  try {
-    out = measure(sys);
-  } catch (const SampleFailure&) {
-    ok = false;
-  }
-  nl.clearMismatch();
-  return ok;
-}
-
-}  // namespace
 
 Real McResult::correlationBetween(size_t i, size_t j) const {
   PSMN_CHECK(!samples.empty(), "sample matrix was not kept");
@@ -75,68 +54,59 @@ McResult MonteCarloEngine::run(std::vector<std::string> names,
   result.moments.assign(result.names.size(), MomentAccumulator{});
 
   const auto tStart = std::chrono::steady_clock::now();
-  const size_t jobs = std::min(
-      opt_.jobs == 0 ? ThreadPool::hardwareJobs() : opt_.jobs, opt_.samples);
+  const size_t wanted = opt_.jobs == 0 ? ThreadPool::hardwareJobs() : opt_.jobs;
+  const size_t jobs = factory_ && corr_ == nullptr
+                          ? std::max<size_t>(1, std::min(wanted, opt_.samples))
+                          : 1;
+  ThreadPool pool(jobs);
 
-  // Streams one sample row into the statistics; called in sample order by
-  // both paths, so the accumulation is independent of evaluation order.
-  const auto accumulate = [&](bool ok, RealVector& row) {
-    if (!ok) {
-      ++result.failedSamples;
-      return;
-    }
-    PSMN_CHECK(row.size() == result.names.size(),
-               "measurement count mismatch");
-    for (size_t j = 0; j < row.size(); ++j) result.moments[j].add(row[j]);
-    if (opt_.keepSamples) result.samples.push_back(std::move(row));
-  };
+  // One stack per sweep slot: slot 0 borrows the primary netlist, slots
+  // 1..J-1 own a factory netlist built once per run.
+  Netlist& primary = const_cast<Netlist&>(sys_->netlist());
+  std::vector<ScenarioContext> slots(pool.jobCount());
+  std::vector<std::vector<Netlist::MismatchRef>> params(slots.size());
+  slots[0].sys = sys_;
+  params[0] = primary.mismatchParams();
+  for (size_t s = 1; s < slots.size(); ++s) {
+    std::unique_ptr<Netlist> nl = factory_();
+    PSMN_CHECK(nl != nullptr, "netlist factory returned null");
+    slots[s].own(std::move(nl));
+    PSMN_CHECK(slots[s].sys->size() == sys_->size(),
+               "netlist factory built a different circuit");
+    params[s] = slots[s].sys->netlist().mismatchParams();
+  }
 
-  if (jobs > 1 && factory_ && corr_ == nullptr) {
-    // Parallel path: one private (netlist, system) per execution slot; the
-    // batches partition the sample index range, and each sample's stream
-    // is seeded by its index, so the draw never depends on the partition.
-    ThreadPool pool(jobs);
-    struct SlotContext {
-      std::unique_ptr<Netlist> nl;
-      std::unique_ptr<MnaSystem> sys;
-      std::vector<Netlist::MismatchRef> params;
+  // Each sample's stream is seeded by its index, so the draw never depends
+  // on the slot that runs it. Re-applying it on a slot overwrites every
+  // delta the slot's previous sample left, so no clearing is needed.
+  std::vector<SweepScenario> scenarios(opt_.samples);
+  for (size_t k = 0; k < scenarios.size(); ++k) {
+    scenarios[k].analysis = SweepAnalysis::kMeasure;
+    scenarios[k].measure = std::cref(measure);
+    scenarios[k].acquire = [&, k](size_t slot) {
+      applyMismatchSample(params[slot], corr_, opt_.seed, k);
+      return &slots[slot];
     };
-    std::vector<SlotContext> slots(pool.jobCount());
-    for (auto& slot : slots) {
-      slot.nl = factory_();
-      PSMN_CHECK(slot.nl != nullptr, "netlist factory returned null");
-      slot.nl->finalize();
-      slot.sys = std::make_unique<MnaSystem>(*slot.nl);
-      PSMN_CHECK(slot.sys->size() == sys_->size(),
-                 "netlist factory built a different circuit");
-      slot.params = slot.nl->mismatchParams();
+  }
+  std::vector<SweepResult> rows = runScenarioSweep(scenarios, pool);
+  primary.clearMismatch();
+
+  // Streams the rows into the statistics in sample order, so the
+  // accumulation is independent of evaluation order.
+  for (SweepResult& row : rows) {
+    if (!row.ok) {
+      ++result.failedSamples;
+      result.failures.push_back({row.index, std::move(row.error),
+                                 row.hasDiagnostics,
+                                 std::move(row.diagnostics)});
+      continue;
     }
-    // The fan-out buffers one row per sample so the post-pass can stream
-    // them in index order (O(samples) extra memory, parallel path only).
-    std::vector<RealVector> rows(opt_.samples);
-    std::vector<char> ok(opt_.samples, 0);
-    const size_t chunk =
-        std::max<size_t>(1, opt_.samples / (pool.jobCount() * 4));
-    pool.parallelFor(
-        opt_.samples, chunk, [&](size_t b, size_t e, size_t slotIdx) {
-          SlotContext& slot = slots[slotIdx];
-          for (size_t k = b; k < e; ++k) {
-            ok[k] = evalSample(*slot.sys, *slot.nl, slot.params, nullptr,
-                               opt_.seed, k, measure, rows[k]);
-          }
-        });
-    for (size_t k = 0; k < opt_.samples; ++k) accumulate(ok[k], rows[k]);
-  } else {
-    // Serial path: one row in flight, as before this engine learned to
-    // fan out.
-    Netlist& nl = const_cast<Netlist&>(sys_->netlist());
-    const auto params = nl.mismatchParams();
-    RealVector row;
-    for (size_t k = 0; k < opt_.samples; ++k) {
-      const bool ok =
-          evalSample(*sys_, nl, params, corr_, opt_.seed, k, measure, row);
-      accumulate(ok, row);
+    PSMN_CHECK(row.values.size() == result.names.size(),
+               "measurement count mismatch");
+    for (size_t j = 0; j < row.values.size(); ++j) {
+      result.moments[j].add(row.values[j]);
     }
+    if (opt_.keepSamples) result.samples.push_back(std::move(row.values));
   }
   result.elapsedSeconds =
       std::chrono::duration<Real>(std::chrono::steady_clock::now() - tStart)

@@ -5,7 +5,9 @@
 // correlated model, SS III-C), applies the deltas to the devices, runs the
 // caller's measurement (typically a transient simulation + waveform
 // measurement), and accumulates statistics. Sampling is deterministic per
-// (seed, sampleIndex) so results are reproducible.
+// (seed, sampleIndex) so results are reproducible. The samples run as one
+// scenario sweep (runtime/scenario_sweep.hpp), one kMeasure scenario per
+// sample; the engine adds the per-slot stacks and in-order accumulation.
 #pragma once
 
 #include <chrono>
@@ -22,23 +24,28 @@ struct McOptions {
   size_t samples = 1000;
   uint64_t seed = 1;
   bool keepSamples = true;  // store the full sample matrix (histograms)
-  /// Concurrent sample evaluations (0 -> hardware). Values above 1 take
-  /// effect only when a netlist factory is installed (each slot needs a
-  /// private netlist to perturb) and no correlated-mismatch model is set
-  /// (its device references are bound to the primary netlist). Because
-  /// every sample's RNG stream is derived from (seed, sampleIndex) and the
-  /// statistics are accumulated in sample order after the fan-out, results
-  /// are bit-identical for every jobs count.
+  /// Sweep slots for the samples (0 -> hardware). Values above 1 take
+  /// effect only when a netlist factory is installed (each extra slot needs
+  /// a private netlist to perturb) and no correlated-mismatch model is set
+  /// (its device references are bound to the primary netlist); otherwise
+  /// the sweep runs on one slot. Because every sample's RNG stream is
+  /// derived from (seed, sampleIndex) and the statistics are accumulated in
+  /// sample order after the sweep, results are bit-identical for every
+  /// jobs count.
   size_t jobs = 1;
 };
 
 /// Measurement callback: the netlist already carries this sample's mismatch
-/// deltas; returns one value per measured quantity. Throwing SampleFailure
-/// skips the sample (counted separately). With jobs > 1 the callback runs
-/// concurrently on different MnaSystems (one per slot), so it must not
-/// write captured state — measure through the passed-in system only.
+/// deltas; returns one value per measured quantity. Throwing any Error
+/// (a ConvergenceError from the transient, a SampleFailure rejecting the
+/// measured waveform, ...) or other std::exception fails the sample: it is
+/// counted and its reason kept in McResult::failures. With jobs > 1 the
+/// callback runs concurrently on different MnaSystems (one per slot), so it
+/// must not write captured state — measure through the passed-in system
+/// only.
 using McMeasure = std::function<RealVector(const MnaSystem&)>;
 
+/// A measurement's explicit rejection of a sample.
 class SampleFailure : public Error {
  public:
   explicit SampleFailure(const std::string& what) : Error(what) {}
@@ -54,12 +61,22 @@ void applyMismatchSample(const std::vector<Netlist::MismatchRef>& params,
                          const CorrelatedMismatch* corr, uint64_t seed,
                          size_t k);
 
+/// Why one sample failed: the text and diagnostics of the Error it threw.
+struct McFailure {
+  size_t index = 0;  // sample index
+  std::string error;
+  bool hasDiagnostics = false;
+  FailureDiagnostics diagnostics;
+};
+
 struct McResult {
   std::vector<std::string> names;
   std::vector<MomentAccumulator> moments;
-  /// samples[k][j] = measurement j of sample k (when keepSamples).
+  /// samples[k][j] = measurement j of the k-th passing sample (when
+  /// keepSamples).
   std::vector<RealVector> samples;
   size_t failedSamples = 0;
+  std::vector<McFailure> failures;  // one per failed sample, index order
   Real elapsedSeconds = 0.0;
 
   Real sigma(size_t j = 0) const { return moments.at(j).stddev(); }
@@ -70,12 +87,13 @@ struct McResult {
   RealVector column(size_t j) const;
 };
 
-/// Rebuilds the engine's circuit from scratch — the parallel path calls it
-/// once per execution slot to give every thread a private netlist. It MUST
-/// construct the same circuit as the engine's primary netlist (same devices
-/// in the same order, so the mismatch-parameter flattening lines up);
-/// the determinism tests compare jobs=1 (primary netlist) against jobs=N
-/// (factory netlists), which catches a diverging factory.
+/// Rebuilds the engine's circuit from scratch — a run on J > 1 slots calls
+/// it once for each of slots 1..J-1 (slot 0 runs on the primary netlist).
+/// It MUST construct the same circuit as the engine's primary netlist (same
+/// devices in the same order, so the mismatch-parameter flattening lines
+/// up); the determinism tests compare jobs=1 (primary netlist only)
+/// against jobs=N (factory netlists on slots 1..N-1), which catches a
+/// diverging factory.
 using NetlistFactory = std::function<std::unique_ptr<Netlist>()>;
 
 class MonteCarloEngine {
@@ -83,12 +101,11 @@ class MonteCarloEngine {
   MonteCarloEngine(const MnaSystem& sys, McOptions opt = {});
 
   /// Optional correlated-mismatch model; parameters covered by it are drawn
-  /// jointly, the rest independently. Forces the serial path (see
-  /// McOptions::jobs).
+  /// jointly, the rest independently. Forces one slot (see McOptions::jobs).
   void setCorrelatedMismatch(const CorrelatedMismatch* corr) { corr_ = corr; }
 
-  /// Enables the parallel path: each execution slot evaluates its samples
-  /// on a private netlist built by `factory`.
+  /// Enables jobs > 1: each extra slot evaluates its samples on a private
+  /// netlist built by `factory`.
   void setNetlistFactory(NetlistFactory factory) {
     factory_ = std::move(factory);
   }

@@ -204,18 +204,15 @@ SweepScenario toSweepScenario(const ProcessScenario& ps,
   sc.retry = ps.retry;
   sc.faults = ps.faults;
   sc.acquire = [deck = std::move(deck), deckHash, apply = ps.applyMismatch,
-                seed = ps.seed, k = ps.sampleIndex]() -> ScenarioContext* {
+                seed = ps.seed, k = ps.sampleIndex](size_t) {
     auto& slot = threadContextCache()[deckHash];
     if (!slot) {
       slot = std::make_unique<ScenarioContext>();
-      ParsedCircuit pc = parseNetlistString(*deck);
-      slot->netlist = std::move(pc.netlist);
-      slot->netlist->finalize();
-      slot->sys = std::make_unique<MnaSystem>(*slot->netlist);
+      slot->own(parseNetlistString(*deck).netlist);
     }
     // The context is shared across this slot's scenarios, so the draw (or
     // its absence) must overwrite whatever the previous scenario left.
-    const auto& params = slot->netlist->mismatchParams();
+    const auto& params = slot->sys->netlist().mismatchParams();
     if (apply) {
       applyMismatchSample(params, nullptr, seed, k);
     } else {

@@ -11,50 +11,41 @@
 namespace psmn {
 namespace {
 
-void runOneScenario(const SweepScenario& sc, SweepResult& out) {
+void runOneScenario(const SweepScenario& sc, size_t slot, SweepResult& out) {
   // The private fresh stack (`make`) or the borrowed slot-confined cached
   // one (`acquire`); the acquire path resets the workspace so the two are
   // bit-identical (tests/test_runtime.cpp pins this across topologies).
-  std::unique_ptr<Netlist> owned;
-  TransientWorkspace localWs;
-  Netlist* nl = nullptr;
-  MnaSystem* sysPtr = nullptr;
-  std::unique_ptr<MnaSystem> ownedSys;
-  TransientWorkspace* ws = &localWs;
+  ScenarioContext fresh;
+  ScenarioContext* ctx = &fresh;
   if (sc.acquire) {
     PSMN_CHECK(sc.analysis == SweepAnalysis::kTransient ||
-                   sc.analysis == SweepAnalysis::kTransientSensitivity,
-               "acquire-path scenarios support transient analyses only");
-    ScenarioContext* ctx = sc.acquire();
-    PSMN_CHECK(ctx != nullptr && ctx->netlist != nullptr &&
-                   ctx->sys != nullptr,
+                   sc.analysis == SweepAnalysis::kTransientSensitivity ||
+                   sc.analysis == SweepAnalysis::kMeasure,
+               "acquire-path scenarios support transient analyses and "
+               "measurements only");
+    ctx = sc.acquire(slot);
+    PSMN_CHECK(ctx != nullptr && ctx->sys != nullptr,
                "scenario acquire returned an incomplete context");
-    nl = ctx->netlist.get();
-    sysPtr = ctx->sys.get();
-    ws = &ctx->tran;
-    ws->resetForNewValues();
+    ctx->tran.resetForNewValues();
   } else {
     PSMN_CHECK(sc.make != nullptr, "scenario has no netlist factory");
-    owned = sc.make();
-    PSMN_CHECK(owned != nullptr, "scenario factory returned null");
-    owned->finalize();
-    nl = owned.get();
-    ownedSys = std::make_unique<MnaSystem>(*nl);
-    sysPtr = ownedSys.get();
+    std::unique_ptr<Netlist> nl = sc.make();
+    PSMN_CHECK(nl != nullptr, "scenario factory returned null");
+    fresh.own(std::move(nl));
   }
-  MnaSystem& sys = *sysPtr;
+  const MnaSystem& sys = *ctx->sys;
 
   int outIdx = -1;
-  if (sc.analysis != SweepAnalysis::kMcBatch) {
+  if (sc.analysis != SweepAnalysis::kMeasure) {
     PSMN_CHECK(!sc.outNode.empty(), "scenario needs an output node");
-    outIdx = nl->nodeIndex(sc.outNode);
+    outIdx = sys.netlist().nodeIndex(sc.outNode);
     PSMN_CHECK(outIdx >= 0, "unknown output node '" + sc.outNode + "'");
   }
 
   switch (sc.analysis) {
     case SweepAnalysis::kTransient: {
       const TransientResult tr =
-          runTransient(sys, sc.t0, sc.t1, sc.dt, sc.tran, *ws);
+          runTransient(sys, sc.t0, sc.t1, sc.dt, sc.tran, ctx->tran);
       out.times = tr.times;
       out.waveform = tr.waveform(outIdx);
       out.finalState = tr.finalState;
@@ -91,13 +82,10 @@ void runOneScenario(const SweepScenario& sc, SweepResult& out) {
       out.stats = pss.stats;
       break;
     }
-    case SweepAnalysis::kMcBatch: {
-      PSMN_CHECK(sc.mcMeasure != nullptr, "MC scenario needs a measurement");
-      MonteCarloEngine engine(sys, sc.mc);
-      engine.setNetlistFactory(sc.make);
-      out.mc = engine.run(sc.mcNames, sc.mcMeasure);
+    case SweepAnalysis::kMeasure:
+      PSMN_CHECK(sc.measure != nullptr, "scenario needs a measurement");
+      out.values = sc.measure(sys);
       break;
-    }
   }
   out.ok = true;
 }
@@ -120,7 +108,7 @@ void resetAttemptOutputs(SweepResult& out) {
   out.waveform.clear();
   out.sigma.clear();
   out.finalState.clear();
-  out.mc = {};
+  out.values.clear();
   out.stats = {};
 }
 
@@ -133,7 +121,7 @@ std::vector<SweepResult> runScenarioSweep(
   std::mutex progressMutex;
   // Chunk of 1: scenarios are coarse units of work, and slot order must
   // not batch them (a slow scenario would serialize its chunk-mates).
-  pool.parallelFor(scenarios.size(), 1, [&](size_t b, size_t e, size_t) {
+  pool.parallelFor(scenarios.size(), 1, [&](size_t b, size_t e, size_t slot) {
     for (size_t i = b; i < e; ++i) {
       SweepResult& out = results[i];
       out.index = i;
@@ -165,7 +153,7 @@ std::vector<SweepResult> runScenarioSweep(
         // Scenario failures are data, not control flow: production sweeps
         // must deliver the passing corners even when one corner dies.
         try {
-          runOneScenario(attempt, out);
+          runOneScenario(attempt, slot, out);
           out.recovered = a > 0;
           out.error.clear();
           break;

@@ -1,14 +1,16 @@
 // Scenario sweep: fans one analysis specification across N scenarios on
-// the execution runtime — corners, mismatch configurations, seeded MC
-// batches — the production sign-off loop around the paper's single
+// the execution runtime — corners, mismatch configurations, the samples of
+// a seeded MC run (MonteCarloEngine runs every sample as one kMeasure
+// scenario) — the production sign-off loop around the paper's single
 // sensitivity solve.
 //
 // Ownership rules (docs/architecture.md "The parallel runtime"): every
 // scenario owns its full stack — a private Netlist built by its factory on
 // the evaluating slot, the MnaSystem over it, and the engine workspaces
-// (TransientWorkspace/PssWorkspace) the analyses allocate internally.
-// Nothing is shared between scenarios, so device mutation (mismatch
-// deltas) and workspace reuse need no locking. Results land in input
+// (TransientWorkspace/PssWorkspace) the analyses allocate internally — or
+// borrows one that is confined to its evaluating slot (`acquire`). Nothing
+// is shared between concurrently running scenarios, so device mutation
+// (mismatch deltas) and workspace reuse need no locking. Results land in input
 // order; a failing scenario (ConvergenceError, NumericalError, ...) is
 // reported in its SweepResult instead of aborting the sweep.
 #pragma once
@@ -30,7 +32,7 @@ enum class SweepAnalysis {
   kTransient,             // waveform of `outNode`
   kTransientSensitivity,  // waveform + mismatch sigma(t) of `outNode`
   kPssDriven,             // periodic steady-state waveform of `outNode`
-  kMcBatch,               // seeded Monte-Carlo batch (mcMeasure/mcNames)
+  kMeasure,               // caller's `measure` row (one MC sample)
 };
 
 /// Per-scenario bounded-escalation retry policy. Retry k (k = 1..
@@ -48,17 +50,30 @@ struct SweepRetryPolicy {
 };
 
 /// Slot-confined reusable execution context for scenarios that share a
-/// deck: the parsed netlist, the MnaSystem over it (whose cached CSC
+/// circuit: the MnaSystem over a finalized netlist (whose cached CSC
 /// stamping pattern is the expensive value-independent symbolic state),
 /// and a transient workspace whose pattern caches, scatter maps, and
-/// buffer allocations persist across runs. The process-sweep workers hand
-/// one of these per (slot, deck) to SweepScenario::acquire; the sweep
-/// resets the workspace per scenario (TransientWorkspace::resetForNewValues)
-/// so results stay bit-identical to the fresh-stack `make` path.
+/// buffer allocations persist across runs. The system is either borrowed
+/// (MonteCarloEngine's slot 0 runs on the primary netlist) or owned by the
+/// context (`own`). The process-sweep workers hand one of these per (slot,
+/// deck) to SweepScenario::acquire, MonteCarloEngine one per slot; the
+/// sweep resets the workspace per scenario
+/// (TransientWorkspace::resetForNewValues) so results stay bit-identical to
+/// the fresh-stack `make` path.
 struct ScenarioContext {
-  std::unique_ptr<Netlist> netlist;
-  std::unique_ptr<MnaSystem> sys;
+  const MnaSystem* sys = nullptr;
   TransientWorkspace tran;
+  /// The stack `sys` points into when the context owns it.
+  std::unique_ptr<Netlist> ownedNetlist;
+  std::unique_ptr<MnaSystem> ownedSys;
+
+  /// Finalizes `nl`, builds its system, and points `sys` at it.
+  void own(std::unique_ptr<Netlist> nl) {
+    nl->finalize();
+    ownedSys = std::make_unique<MnaSystem>(*nl);
+    ownedNetlist = std::move(nl);
+    sys = ownedSys.get();
+  }
 };
 
 struct SweepScenario {
@@ -67,20 +82,21 @@ struct SweepScenario {
   /// sweep). Runs on the evaluating slot; must not touch shared state.
   NetlistFactory make;
 
-  /// Alternative to `make`: returns a borrowed, slot-confined context
-  /// whose netlist is already finalized and carries this scenario's
-  /// device values (e.g. its mismatch draw applied). The callee keeps
-  /// ownership and may hand the same context to every scenario on the
-  /// slot — the sweep resets the workspace per scenario, never caches
-  /// value-dependent state across scenarios, and supports the transient
-  /// analyses only on this path (kTransient, kTransientSensitivity).
-  /// Takes precedence over `make` when set. Called once per attempt, so
-  /// the draw must be re-applied idempotently (applyMismatchSample is).
-  std::function<ScenarioContext*()> acquire;
+  /// Alternative to `make`: given the evaluating slot (in [0, jobCount())
+  /// of the sweep's pool), returns a borrowed, slot-confined context whose
+  /// netlist is already finalized and carries this scenario's device
+  /// values (e.g. its mismatch draw applied). The callee keeps ownership
+  /// and may hand the same context to every scenario on the slot — the
+  /// sweep resets the workspace per scenario, never caches value-dependent
+  /// state across scenarios, and supports kTransient,
+  /// kTransientSensitivity and kMeasure only on this path. Takes
+  /// precedence over `make` when set. Called once per attempt, so the draw
+  /// must be re-applied idempotently (applyMismatchSample is).
+  std::function<ScenarioContext*(size_t slot)> acquire;
 
   SweepAnalysis analysis = SweepAnalysis::kTransient;
   /// Node whose waveform (and sigma(t)) is recorded; required for every
-  /// analysis except kMcBatch.
+  /// analysis except kMeasure.
   std::string outNode;
 
   // kTransient / kTransientSensitivity window and engine options. The
@@ -93,12 +109,9 @@ struct SweepScenario {
   Real period = 0.0;
   PssOptions pss;
 
-  // kMcBatch: the batch engine runs on this scenario's netlist; `make` is
-  // reused as the engine's factory, so mc.jobs > 1 works — though inside a
-  // sweep the scenario fan-out is normally parallelism enough.
-  McOptions mc;
-  std::vector<std::string> mcNames;
-  McMeasure mcMeasure;
+  // kMeasure: runs on this scenario's system; its row lands in
+  // SweepResult::values, and any Error it throws fails the scenario.
+  McMeasure measure;
 
   /// Retry escalation when this scenario's analysis throws.
   SweepRetryPolicy retry;
@@ -124,7 +137,7 @@ struct SweepResult {
   FailureDiagnostics diagnostics;
 
   /// Cost counters of the successful attempt (zero when !ok, and for
-  /// kMcBatch, whose per-sample costs stay internal to the batch engine).
+  /// kMeasure, whose costs stay internal to the measurement).
   SolveStats stats;
 
   /// Registry-counter deltas over ALL of this scenario's attempts,
@@ -142,8 +155,8 @@ struct SweepResult {
   RealVector sigma;     // kTransientSensitivity: mismatch sigma(t)
   RealVector finalState;
 
-  // kMcBatch.
-  McResult mc;
+  // kMeasure.
+  RealVector values;
 };
 
 /// Called (serialized under an internal mutex) as each scenario finishes,

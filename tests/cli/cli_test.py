@@ -174,6 +174,8 @@ def case_bad_inputs(cli):
             (["--sweep", "mc:5x"], "--sweep mc:<N> expects"),
             (["--sweep", "mc:"], "--sweep mc:<N> expects"),
             (["--sweep", "mc:99999999999999999999999"], "exceeds the limit"),
+            (["--sweep", "mc:100001"],
+             "--sweep mc:<N> value '100001' exceeds the limit"),
             (["--jobs", "-1"], "--jobs expects"),
             (["--jobs", "abc"], "--jobs expects"),
             (["--jobs", "+2"], "--jobs expects"),
@@ -192,7 +194,7 @@ def case_bad_inputs(cli):
     # Values at the ceilings parse; the missing deck then stops the run
     # before anything is sized from them.
     p = cli.run(missing, "--jobs", "1024", "--procs", "1024", "--seed",
-                "18446744073709551615", "--sweep", "mc:2")
+                "18446744073709551615", "--sweep", "mc:100000")
     expect(p.returncode == 1 and "cannot open" in p.stderr,
            "values at the ceilings must pass argument parsing", p)
 

@@ -162,6 +162,42 @@ TEST(MonteCarlo, FailedSamplesAreCounted) {
   EXPECT_EQ(r.moments[0].count(), 15u);
 }
 
+TEST(MonteCarlo, AnyErrorFailsOnlyItsSampleAndKeepsTheReason) {
+  // A plain ConvergenceError (no SampleFailure wrapper) from the
+  // measurement fails that sample, not the run; its text and diagnostics
+  // are kept per sample.
+  Netlist nl;
+  const NodeId a = nl.node("a");
+  nl.add<ISource>("I1", kGround, a, SourceWave::dc(1e-3), nl);
+  nl.add<Resistor>("R1", a, kGround, 1e3, nl, 10.0);
+  MnaSystem sys(nl);
+  McOptions mo;
+  mo.samples = 12;
+  int calls = 0;
+  McResult r = MonteCarloEngine(sys, mo).run({"v"}, [&](const MnaSystem&) {
+    const int k = calls++;
+    if (k % 5 == 1) {
+      FailureDiagnostics d;
+      d.analysis = "transient";
+      d.iteration = k;
+      throw ConvergenceError("sample " + std::to_string(k) + " diverged", d);
+    }
+    return RealVector{1.0};
+  });
+  EXPECT_EQ(r.failedSamples, 3u);
+  EXPECT_EQ(r.moments[0].count(), 9u);
+  ASSERT_EQ(r.failures.size(), r.failedSamples);
+  for (size_t i = 0; i < r.failures.size(); ++i) {
+    const McFailure& f = r.failures[i];
+    const size_t k = 1 + 5 * i;
+    EXPECT_EQ(f.index, k);
+    EXPECT_EQ(f.error, "sample " + std::to_string(k) + " diverged");
+    ASSERT_TRUE(f.hasDiagnostics) << k;
+    EXPECT_EQ(f.diagnostics.analysis, "transient");
+    EXPECT_EQ(f.diagnostics.iteration, static_cast<int>(k));
+  }
+}
+
 // ------------------------------------------------- correlated mismatch
 
 TEST(CorrelatedMismatch, PerfectCorrelationCancelsInDivider) {

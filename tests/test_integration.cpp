@@ -208,11 +208,7 @@ TEST(RingOscillatorIntegration, FrequencySigmaMatchesMonteCarlo) {
     t2.storeStates = true;
     const TransientResult trk = runTransient(s, 0.0, 20 * tGuess, dt, t2);
     const Waveform wk = makeWaveform(trk.times, trk.states, phaseIdx);
-    try {
-      return {measureFrequency(wk, 0.6, 6)};
-    } catch (const Error& e) {
-      throw SampleFailure(e.what());
-    }
+    return {measureFrequency(wk, 0.6, 6)};
   };
   McOptions mo;
   mo.samples = 100;

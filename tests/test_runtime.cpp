@@ -9,6 +9,7 @@
 #include <chrono>
 #include <thread>
 #include <cmath>
+#include <optional>
 
 #include "circuit/parser.hpp"
 #include "circuit/passives.hpp"
@@ -410,12 +411,29 @@ RealVector measureMidFinal(const MnaSystem& s) {
   return {tr.finalState[mid]};
 }
 
+void expectSameMcResult(const McResult& got, const McResult& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.failedSamples, want.failedSamples) << label;
+  ASSERT_EQ(got.failures.size(), want.failures.size()) << label;
+  for (size_t i = 0; i < want.failures.size(); ++i) {
+    EXPECT_EQ(got.failures[i].index, want.failures[i].index) << label;
+  }
+  ASSERT_EQ(got.samples.size(), want.samples.size()) << label;
+  for (size_t k = 0; k < want.samples.size(); ++k) {
+    EXPECT_EQ(got.samples[k][0], want.samples[k][0]) << label << " " << k;
+  }
+  EXPECT_EQ(got.meanOf(0), want.meanOf(0)) << label;
+  EXPECT_EQ(got.sigma(0), want.sigma(0)) << label;
+}
+
 TEST(ParallelMonteCarlo, BitIdenticalAcrossJobCountsAndRepeats) {
   McOptions base;
   base.samples = 48;
   base.seed = 41;
 
-  auto runWithJobs = [&](size_t jobs) {
+  // `rho` set: a correlated model over R1/R2 of the primary netlist, which
+  // pins the run to one slot whatever jobs says.
+  auto runWithJobs = [&](size_t jobs, std::optional<Real> rho = {}) {
     auto nl = makeRcDividerNetlist();
     nl->finalize();
     MnaSystem sys(*nl);
@@ -423,7 +441,20 @@ TEST(ParallelMonteCarlo, BitIdenticalAcrossJobCountsAndRepeats) {
     opt.jobs = jobs;
     MonteCarloEngine mc(sys, opt);
     mc.setNetlistFactory(makeRcDividerNetlist);
-    return mc.run({"mid"}, measureMidFinal);
+    CorrelatedMismatch corr;
+    if (rho) {
+      corr.addUniformCorrelationGroup(
+          {{nl->find("R1"), 0}, {nl->find("R2"), 0}}, *rho);
+      mc.setCorrelatedMismatch(&corr);
+    }
+    McResult r = mc.run({"mid"}, measureMidFinal);
+    // Samples leave their draw on the slot's netlist; the run must hand
+    // the primary one back clean, failed samples included.
+    for (const auto& p : nl->mismatchParams()) {
+      EXPECT_EQ(p.device->mismatchDelta(p.index), 0.0)
+          << "jobs=" << jobs << " " << p.device->name();
+    }
+    return r;
   };
 
   const McResult serial = runWithJobs(1);
@@ -433,17 +464,16 @@ TEST(ParallelMonteCarlo, BitIdenticalAcrossJobCountsAndRepeats) {
   ASSERT_GT(serial.samples.size(), 0u);
 
   for (size_t jobs : {2u, 8u}) {
-    const McResult par = runWithJobs(jobs);
-    EXPECT_EQ(par.failedSamples, serial.failedSamples) << jobs;
-    ASSERT_EQ(par.samples.size(), serial.samples.size()) << jobs;
-    for (size_t k = 0; k < serial.samples.size(); ++k) {
-      EXPECT_EQ(par.samples[k][0], serial.samples[k][0]) << k;
-    }
-    EXPECT_EQ(par.meanOf(0), serial.meanOf(0));
-    EXPECT_EQ(par.sigma(0), serial.sigma(0));
+    expectSameMcResult(runWithJobs(jobs), serial,
+                       "jobs=" + std::to_string(jobs));
   }
   const McResult repeat = runWithJobs(8);
   EXPECT_EQ(repeat.meanOf(0), runWithJobs(8).meanOf(0));
+
+  const McResult corrSerial = runWithJobs(1, 0.5);
+  ASSERT_GT(corrSerial.failedSamples, 0u);
+  ASSERT_GT(corrSerial.samples.size(), 0u);
+  expectSameMcResult(runWithJobs(4, 0.5), corrSerial, "correlated jobs=4");
 }
 
 // -------------------------------------- multi-process topology matrix
@@ -638,28 +668,48 @@ TEST(ProcessSweep, CrashRetriedRunStaysBitIdentical) {
   EXPECT_GT(recovered, 0u);
 }
 
-TEST(ScenarioSweep, McBatchScenarioMatchesDirectEngine) {
-  SweepScenario sc;
-  sc.name = "mc_batch";
-  sc.make = makeRcDividerNetlist;
-  sc.analysis = SweepAnalysis::kMcBatch;
-  sc.mc.samples = 16;
-  sc.mc.seed = 7;
-  sc.mcNames = {"mid"};
-  sc.mcMeasure = measureMidFinal;
-
-  ThreadPool pool(4);
-  const auto results = runScenarioSweep({&sc, 1}, pool);
-  ASSERT_TRUE(results[0].ok) << results[0].error;
-
+TEST(ScenarioSweep, MeasureScenarioReproducesMcSampleBitForBit) {
+  // Scenario k carries MC sample k's draw on a fresh stack: it must return
+  // the engine's row for sample k, and fail exactly when sample k failed.
+  // The draws of the determinism test above: some pass, some fail.
+  McOptions mo;
+  mo.samples = 48;
+  mo.seed = 41;
   auto nl = makeRcDividerNetlist();
   nl->finalize();
   MnaSystem sys(*nl);
-  MonteCarloEngine mc(sys, sc.mc);
-  const McResult ref = mc.run({"mid"}, measureMidFinal);
-  EXPECT_EQ(results[0].mc.failedSamples, ref.failedSamples);
-  EXPECT_EQ(results[0].mc.meanOf(0), ref.meanOf(0));
-  EXPECT_EQ(results[0].mc.sigma(0), ref.sigma(0));
+  const McResult ref = MonteCarloEngine(sys, mo).run({"mid"}, measureMidFinal);
+  ASSERT_GT(ref.failedSamples, 0u);
+  ASSERT_GT(ref.samples.size(), 0u);
+
+  std::vector<SweepScenario> scenarios(mo.samples);
+  for (size_t k = 0; k < mo.samples; ++k) {
+    scenarios[k].name = "sample" + std::to_string(k);
+    scenarios[k].analysis = SweepAnalysis::kMeasure;
+    scenarios[k].measure = measureMidFinal;
+    scenarios[k].make = [k, seed = mo.seed] {
+      auto draw = makeRcDividerNetlist();
+      applyMismatchSample(draw->mismatchParams(), nullptr, seed, k);
+      return draw;
+    };
+  }
+  ThreadPool pool(4);
+  const auto results = runScenarioSweep(scenarios, pool);
+
+  size_t passed = 0, failed = 0;
+  for (size_t k = 0; k < mo.samples; ++k) {
+    if (results[k].ok) {
+      ASSERT_LT(passed, ref.samples.size()) << k;
+      ASSERT_EQ(results[k].values.size(), 1u) << k;
+      EXPECT_EQ(results[k].values[0], ref.samples[passed++][0]) << k;
+    } else {
+      ASSERT_LT(failed, ref.failures.size()) << k;
+      EXPECT_EQ(ref.failures[failed].index, k);
+      EXPECT_EQ(ref.failures[failed++].error, results[k].error) << k;
+    }
+  }
+  EXPECT_EQ(passed, ref.samples.size());
+  EXPECT_EQ(failed, ref.failedSamples);
 }
 
 }  // namespace
