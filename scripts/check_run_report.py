@@ -35,7 +35,7 @@ PHASE_KEYS = {
 }
 SOLVE_STATS_KEYS = {
     "newton_iterations", "steps", "factorizations", "refactorizations",
-    "solves", "evals", "factor_nnz",
+    "solves", "evals", "factor_nnz", "predicted_steps", "predictor_retries",
 }
 
 
@@ -53,6 +53,13 @@ def check_solve_stats(stats, where, errors):
     for k, v in stats.items():
         if not is_uint(v):
             errors.append(f"{where}: stats.{k} = {v!r} is not a uint")
+    # The predictor counters count accepted steps: a retried step is a
+    # predicted one, and a predicted step is a step.
+    chain = [stats.get(k) for k in
+             ("predictor_retries", "predicted_steps", "steps")]
+    if all(is_uint(v) for v in chain) and not chain[0] <= chain[1] <= chain[2]:
+        errors.append(f"{where}: stats need predictor_retries <= "
+                      f"predicted_steps <= steps, got {chain}")
 
 
 def check_metrics(path, errors):

@@ -1,5 +1,7 @@
 #include "engine/transient.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -197,42 +199,140 @@ void acceptIntegrationStep(IntegrationMethod m, Real h, RealVector& x,
   std::swap(qd, ws.qd1);
 }
 
-}  // namespace
-
-bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
-                   Real t, Real h, RealVector& x, RealVector& q,
-                   RealVector& qd, const RealVector* qm1,
-                   const TranOptions& opt, TransientWorkspace& ws) {
-  TraceSpan stepSpan(Phase::kStep, "tran_step", TraceDetail::kStep);
-  const Real t1 = t + h;
-  const IntegrationMethod m = stepMethod(method, beStep, qm1 != nullptr);
-  const Real a = stepCoefficients(m, h, q, qd, qm1, ws.rhsQ);
-
-  ws.acceptedA = a;
-  ws.x1.assign(x.begin(), x.end());  // predictor: previous point
+/// Newton iterations for the step to t1 from the start already in ws.x1;
+/// on failure the post-mortem is on ws.
+bool solveStep(const MnaSystem& sys, const TranOptions& opt,
+               TransientWorkspace& ws, Real a, Real t1) {
   MnaSystem::EvalOptions eopt;
   eopt.gshunt = opt.gshunt;
-
-  bool converged = false;
   for (int iter = 0; iter < opt.maxNewton; ++iter) {
     TraceSpan iterSpan(Phase::kNewton, "newton_iter", TraceDetail::kKernel);
     sys.evalSparse(ws.x1, t1, &ws.f, &ws.q1, &ws.gsp, &ws.csp, eopt);
     const NewtonTailOutcome outcome =
         newtonIterationTail(sys, opt, ws, a, t1, iter);
     if (outcome == NewtonTailOutcome::kFailed) return false;
-    if (outcome == NewtonTailOutcome::kConverged) {
-      converged = true;
-      break;
-    }
+    if (outcome == NewtonTailOutcome::kConverged) return true;
   }
-  if (!converged) {
-    recordStepFailure(ws, sys, "tran-newton/stagnation", opt.maxNewton, -1.0,
-                      t1, /*nonFinite=*/false);
-    return false;
+  recordStepFailure(ws, sys, "tran-newton/stagnation", opt.maxNewton, -1.0,
+                    t1, /*nonFinite=*/false);
+  return false;
+}
+
+/// runTransient's Newton predictor over one breakpoint segment. It
+/// extrapolates through the segment's accepted points: the current one and
+/// the two before it, whose states are ws.xHist1/ws.xHist2 (newest first).
+///
+/// A polynomial start beats the previous point only while the step
+/// resolves the trajectory's curvature. Where a node turns into a rail, or
+/// a stiff component has already decayed within one step, extrapolating
+/// overshoots and costs iterations. So after each accepted step the
+/// predictor checks whether its extrapolation would have landed closer to
+/// the accepted point than the previous point did, and predicts the next
+/// step only if it would.
+struct SegmentHistory {
+  int points = 1;  // accepted points in the segment, its start included
+  Real t1 = 0.0, t2 = 0.0;  // times of ws.xHist1 / ws.xHist2
+  bool trusted = true;
+
+  void restart() {
+    points = 1;
+    trusted = true;
   }
 
+  /// Extrapolation order the history supports: none on the segment's
+  /// first step, linear on its second, quadratic after.
+  int available() const { return std::min(points - 1, 2); }
+  /// Order the next step starts from (0: the previous point).
+  int order() const { return trusted ? available() : 0; }
+
+  /// Lagrange weights at tNext of the current point (time t) and the
+  /// history points.
+  std::array<Real, 3> weights(int ord, Real tNext, Real t) const {
+    if (ord == 1) {
+      const Real w0 = (tNext - t1) / (t - t1);
+      return {w0, 1.0 - w0, 0.0};
+    }
+    return {(tNext - t1) * (tNext - t2) / ((t - t1) * (t - t2)),
+            (tNext - t) * (tNext - t2) / ((t1 - t) * (t1 - t2)),
+            (tNext - t) * (tNext - t1) / ((t2 - t) * (t2 - t1))};
+  }
+
+  /// Component i of the order-`ord` extrapolation through x and the
+  /// history.
+  static Real extrapolated(int ord, const std::array<Real, 3>& w,
+                           const RealVector& x, const TransientWorkspace& ws,
+                           size_t i) {
+    const Real v = w[0] * x[i] + w[1] * ws.xHist1[i];
+    return ord == 2 ? v + w[2] * ws.xHist2[i] : v;
+  }
+
+  /// Records the accepted step from tPrev to tNew, now at x. The accepted
+  /// step swapped its start point into ws.x1, so rotating the three
+  /// buffers moves it into the history without a copy.
+  void accept(Real tPrev, Real tNew, const RealVector& x,
+              TransientWorkspace& ws) {
+    const int ord = available();
+    if (ord > 0) {
+      const std::array<Real, 3> w = weights(ord, tNew, tPrev);
+      Real predErr = 0.0, prevErr = 0.0;
+      for (size_t i = 0; i < x.size(); ++i) {
+        const Real predicted = extrapolated(ord, w, ws.x1, ws, i);
+        predErr = std::max(predErr, std::fabs(predicted - x[i]));
+        prevErr = std::max(prevErr, std::fabs(ws.x1[i] - x[i]));
+      }
+      trusted = predErr <= prevErr;
+    }
+    std::swap(ws.xHist2, ws.xHist1);
+    std::swap(ws.xHist1, ws.x1);
+    t2 = t1;
+    t1 = tPrev;
+    points = std::min(points + 1, 3);
+  }
+};
+
+/// One step from (x, q, qd, t) to t+h. Newton starts from the previous
+/// point unless `hist` offers an extrapolation order; then it starts from
+/// the extrapolated point and, if that Newton fails, re-solves once from
+/// the previous point (`*retried` is then set), so a predicted step is
+/// never less robust than an unpredicted one.
+bool stepFrom(const MnaSystem& sys, IntegrationMethod method, bool beStep,
+              Real t, Real h, RealVector& x, RealVector& q, RealVector& qd,
+              const RealVector* qm1, const TranOptions& opt,
+              TransientWorkspace& ws, const SegmentHistory* hist,
+              bool* retried) {
+  TraceSpan stepSpan(Phase::kStep, "tran_step", TraceDetail::kStep);
+  const Real t1 = t + h;
+  const IntegrationMethod m = stepMethod(method, beStep, qm1 != nullptr);
+  const Real a = stepCoefficients(m, h, q, qd, qm1, ws.rhsQ);
+  ws.acceptedA = a;
+
+  bool converged = false;
+  const int ord = hist != nullptr ? hist->order() : 0;
+  if (ord > 0) {
+    const std::array<Real, 3> w = hist->weights(ord, t1, t);
+    ws.x1.resize(x.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+      ws.x1[i] = SegmentHistory::extrapolated(ord, w, x, ws, i);
+    }
+    converged = solveStep(sys, opt, ws, a, t1);
+    *retried = !converged;
+  }
+  if (!converged) {
+    ws.x1.assign(x.begin(), x.end());  // start from the previous point
+    if (!solveStep(sys, opt, ws, a, t1)) return false;
+  }
   acceptIntegrationStep(m, h, x, q, qd, qm1, ws);
   return true;
+}
+
+}  // namespace
+
+bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
+                   Real t, Real h, RealVector& x, RealVector& q,
+                   RealVector& qd, const RealVector* qm1,
+                   const TranOptions& opt, TransientWorkspace& ws) {
+  return stepFrom(sys, method, beStep, t, h, x, q, qd, qm1, opt, ws, nullptr,
+                  nullptr);
 }
 
 bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,
@@ -330,10 +430,22 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
   const Real dtMax = opt.dtMax > 0.0 ? opt.dtMax : dt * 4.0;
 
   // The workspace (caller-owned or the wrapper's throwaway) carries the
-  // sparsity pattern, symbolic factorization, and step scratch across
-  // every step below. The save buffers are swapped (never moved-from) so
-  // the steady-state loop does not allocate.
+  // sparsity pattern, symbolic factorization, step scratch and predictor
+  // history across every step below. The save buffers are swapped (never
+  // moved-from) so the steady-state loop does not allocate.
   RealVector qSave, xSave, qdSave;
+  SegmentHistory hist;
+  const SegmentHistory* histIn = opt.predictor ? &hist : nullptr;
+  // Commits an accepted step that started at tPrev: its predictor
+  // counters and the history rotation.
+  auto acceptStep = [&](Real tPrev, Real tNew, bool retried) {
+    if (histIn == nullptr) return;
+    if (hist.order() > 0) {
+      ++ws.stats.predictedSteps;
+      if (retried) ++ws.stats.predictorRetries;
+    }
+    hist.accept(tPrev, tNew, x, ws);
+  };
 
   Real t = t0;
   Real h = dt;
@@ -347,11 +459,14 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
       const Real hseg = (stop - t) / static_cast<Real>(count);
       for (size_t k = 0; k < count; ++k) {
         qSave.assign(q.begin(), q.end());
-        if (!integrateStep(sys, opt.method, forceBE, t, hseg, x, q, qd,
-                           havePrev ? &qPrev : nullptr, opt, ws)) {
+        bool retried = false;
+        if (!stepFrom(sys, opt.method, forceBE, t, hseg, x, q, qd,
+                      havePrev ? &qPrev : nullptr, opt, ws, histIn,
+                      &retried)) {
           throwStepFailure(ws, t + hseg, "transient Newton failed at t=" +
                                              formatEng(t + hseg) + "s");
         }
+        acceptStep(t, t + hseg, retried);
         std::swap(qPrev, qSave);
         havePrev = true;
         forceBE = false;
@@ -370,8 +485,10 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
         xSave.assign(x.begin(), x.end());
         qSave.assign(q.begin(), q.end());
         qdSave.assign(qd.begin(), qd.end());
-        bool ok = integrateStep(sys, opt.method, forceBE, t, hTry, x, q, qd,
-                                havePrev ? &qPrev : nullptr, opt, ws);
+        bool retried = false;
+        bool ok = stepFrom(sys, opt.method, forceBE, t, hTry, x, q, qd,
+                           havePrev ? &qPrev : nullptr, opt, ws, histIn,
+                           &retried);
         Real err = 0.0;
         if (ok) {
           // Step-size control from the local charge-derivative change; a
@@ -394,6 +511,7 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
           }
           continue;
         }
+        acceptStep(t, t + hTry, retried);
         std::swap(qPrev, qSave);
         havePrev = true;
         forceBE = false;
@@ -410,6 +528,7 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
     }
     forceBE = true;  // restart the integrator after each breakpoint
     havePrev = false;
+    hist.restart();  // and the predictor: the solution kinks there
   }
 
   result.stats = SolveStats::since(statsBefore, ws.stats);

@@ -45,6 +45,16 @@ struct TranOptions {
   Real dtMax = 0.0;   // 0 -> 4*dt
   /// Start from this state instead of a DC solve (SPICE "UIC").
   const RealVector* initialState = nullptr;
+  /// runTransient's Newton predictor: a step's Newton starts from a
+  /// Lagrange extrapolation through the last accepted points of the
+  /// breakpoint segment (2nd order from the segment's third step on)
+  /// whenever that extrapolation beat the previous point on the step
+  /// before, and re-solves once from the previous point if the
+  /// extrapolated start fails. False starts every step from the previous
+  /// point, exactly as integrateStep does; the ring warmup that seeds
+  /// autonomous shooting opts out so the shooting start does not move
+  /// (settleRing in pss.cpp).
+  bool predictor = true;
   /// Optional execution runtime. runTransientSensitivity partitions its
   /// injection-source columns across this pool's slots (results are
   /// bit-identical for every jobs count); runTransient ignores it — a
@@ -73,6 +83,11 @@ struct TransientWorkspace {
   MergedSparseAssembler<Real> jac;
   SparseLU<Real> slu;
   bool sluSymbolic = false;  // slu carries a reusable symbolic factorization
+
+  // runTransient's Newton-predictor history: the two accepted points
+  // before the current one in this breakpoint segment, newest first.
+  // Rotated by swap, so the buffers keep their capacity across steps.
+  RealVector xHist1, xHist2;
 
   // Integration coefficient `a` of the most recent step (J = G + a*C; 1/h
   // for BE). Set by integrateStep.
@@ -149,6 +164,9 @@ TransientResult runTransient(const MnaSystem& sys, Real t0, Real t1, Real dt,
 /// Single integration step from (x0,q0,qd0,t) to t+h; updates all three.
 /// `beStep` forces backward Euler (first step, post-breakpoint). Returns
 /// false if Newton failed. qm1 is q at the pre-previous point (Gear2).
+/// Newton starts from the previous point x0; runTransient's extrapolating
+/// predictor is not applied here (PSS shooting and the sensitivity engine
+/// step through this entry point).
 /// The accepted point keeps the final Newton iterate's f/q/G/C/LU
 /// consistent in `ws` — no post-convergence re-evaluation happens.
 bool integrateStep(const MnaSystem& sys, IntegrationMethod method, bool beStep,

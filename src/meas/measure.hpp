@@ -9,12 +9,14 @@ namespace psmn {
 
 /// Delay from the `fromDir` crossing of `stimulus` through `level` to the
 /// `toDir` crossing of `response` through `level` (paper Fig. 7: rising
-/// input edge to falling output edge). Throws if either edge is missing.
+/// input edge to falling output edge). Throws Error, naming the missing
+/// edge, if either edge is missing.
 Real measureDelay(const Waveform& stimulus, const Waveform& response,
                   Real level, int fromDir, int toDir);
 
 /// Average period from the rising crossings through `level`, using the
-/// last `cycles` full periods. Throws when not enough crossings exist.
+/// last `cycles` full periods. Throws Error stating the crossings found
+/// against the `cycles + 1` needed when there are too few.
 Real measurePeriod(const Waveform& w, Real level, int cycles = 4);
 
 Real measureFrequency(const Waveform& w, Real level, int cycles = 4);

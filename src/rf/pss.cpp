@@ -570,6 +570,11 @@ RingWarmup settleRing(const MnaSystem& sys, const RingOscillatorCircuit& osc,
   TranOptions topt;
   topt.method = IntegrationMethod::kBackwardEuler;
   topt.initialState = &start;
+  // The final state seeds autonomous shooting, whose bordered solve on a
+  // long ring amplifies even a within-tolerance change of its start past
+  // the frozen shooting goldens, so the warmup starts every Newton from
+  // the previous point.
+  topt.predictor = false;
   const TransientResult tr = runTransient(sys, 0.0, runTime, dt, topt);
   const Waveform wave = makeWaveform(tr.times, tr.states, stage0);
   const Real lo = *std::min_element(wave.values.begin(), wave.values.end());

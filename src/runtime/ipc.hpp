@@ -39,8 +39,10 @@ inline constexpr uint32_t kIpcMagic = 0x31575350;  // "PSW1"
 /// dropped the backend fields from the TranOptions codec and carries the
 /// stamp_tape_misses counter in the captured-counter block. Version 3
 /// dropped the two batched-evaluation counters, so the captured-counter
-/// block in each result frame is two entries shorter.
-inline constexpr uint32_t kIpcProtocolVersion = 3;
+/// block in each result frame is two entries shorter. Version 4 adds the
+/// Newton-predictor switch to the TranOptions codec and the two predictor
+/// counters to the SolveStats codec.
+inline constexpr uint32_t kIpcProtocolVersion = 4;
 /// Upper bound on a frame payload; a corrupt length past this is rejected
 /// before any allocation.
 inline constexpr uint64_t kIpcMaxPayload = uint64_t{1} << 30;

@@ -56,6 +56,7 @@ void writeTranOptions(WireWriter& w, const TranOptions& o) {
   w.f64(o.abstol);
   w.f64(o.dtMin);
   w.f64(o.dtMax);
+  w.boolean(o.predictor);
 }
 
 void readTranOptions(WireReader& r, TranOptions& o) {
@@ -73,6 +74,7 @@ void readTranOptions(WireReader& r, TranOptions& o) {
   o.abstol = r.f64();
   o.dtMin = r.f64();
   o.dtMax = r.f64();
+  o.predictor = r.boolean();
 }
 
 std::string encodeScenario(uint64_t globalIndex, const ProcessScenario& ps) {

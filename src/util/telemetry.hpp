@@ -54,6 +54,12 @@ struct SolveStats {
   uint64_t solves = 0;            // triangular-solve right-hand-side columns
   uint64_t evals = 0;             // MNA system evaluations
   uint64_t factorNnz = 0;         // nnz(L+U) of the latest sparse factor
+  // runTransient's Newton predictor, counted over accepted steps (so
+  // predictorRetries <= predictedSteps <= steps): steps whose Newton
+  // started from an extrapolated point, and those of them re-solved from
+  // the previous point after the extrapolated start failed.
+  uint64_t predictedSteps = 0;
+  uint64_t predictorRetries = 0;
 
   uint64_t totalFactorizations() const {
     return factorizations + refactorizations;
@@ -68,6 +74,8 @@ struct SolveStats {
     solves += o.solves;
     evals += o.evals;
     if (o.factorNnz != 0) factorNnz = o.factorNnz;
+    predictedSteps += o.predictedSteps;
+    predictorRetries += o.predictorRetries;
   }
 
   /// Counter deltas `now - before` of one workspace between two snapshots
@@ -81,6 +89,8 @@ struct SolveStats {
     d.solves = now.solves - before.solves;
     d.evals = now.evals - before.evals;
     d.factorNnz = now.factorNnz;
+    d.predictedSteps = now.predictedSteps - before.predictedSteps;
+    d.predictorRetries = now.predictorRetries - before.predictorRetries;
     return d;
   }
 

@@ -142,6 +142,8 @@ void writeSolveStats(JsonWriter& w, const SolveStats& s) {
   w.field("solves", s.solves);
   w.field("evals", s.evals);
   w.field("factor_nnz", s.factorNnz);
+  w.field("predicted_steps", s.predictedSteps);
+  w.field("predictor_retries", s.predictorRetries);
   w.endObject();
 }
 

@@ -38,6 +38,8 @@ void wireWrite(WireWriter& w, const SolveStats& s) {
   w.u64(s.solves);
   w.u64(s.evals);
   w.u64(s.factorNnz);
+  w.u64(s.predictedSteps);
+  w.u64(s.predictorRetries);
 }
 
 void wireRead(WireReader& r, SolveStats& s) {
@@ -48,6 +50,8 @@ void wireRead(WireReader& r, SolveStats& s) {
   s.solves = r.u64();
   s.evals = r.u64();
   s.factorNnz = r.u64();
+  s.predictedSteps = r.u64();
+  s.predictorRetries = r.u64();
 }
 
 void wireWrite(WireWriter& w, const FailureDiagnostics& d) {

@@ -101,6 +101,39 @@ TEST(Allocation, SmallRingSteadyStateStepsAreHeapFree) {
   EXPECT_EQ(allocationsPerSteadyState(5, 20, 100), 0u);
 }
 
+// Allocations of one whole runTransient over `steps` fixed steps of the
+// 5-stage ring (n = 7) from a kicked start, states not stored.
+size_t runTransientAllocations(size_t steps) {
+  Netlist nl;
+  auto kit = ProcessKit::cmos130();
+  const auto osc = buildRingOscillator(nl, kit, {});
+  MnaSystem sys(nl);
+  RealVector x = solveDc(sys, {}).x;
+  for (size_t i = 0; i < osc.stages.size(); ++i) {
+    x[nl.nodeIndex(osc.stages[i])] += (i % 2 ? 0.2 : -0.2);
+  }
+  TranOptions opt;
+  opt.method = IntegrationMethod::kBackwardEuler;
+  opt.storeStates = false;
+  opt.initialState = &x;
+  const Real h = 5e-12;
+  const size_t before = gAllocCount.load();
+  const TransientResult tr =
+      runTransient(sys, 0.0, static_cast<Real>(steps) * h, h, opt);
+  const size_t count = gAllocCount.load() - before;
+  EXPECT_EQ(tr.stats.steps, steps);
+  EXPECT_EQ(tr.stats.predictedSteps, steps - 1);
+  return count;
+}
+
+TEST(Allocation, RunTransientPredictorHistoryIsHeapFree) {
+  // The whole run allocates its workspace, result and predictor history
+  // once; doubling the step count adds nothing, so the extrapolation and
+  // its history rotation cost no allocation per step.
+  const size_t n = runTransientAllocations(200);
+  EXPECT_EQ(runTransientAllocations(400), n);
+}
+
 TEST(Allocation, TelemetryProbesStayHeapFree) {
   // The tests above already pin the telemetry-DISABLED case (no
   // registry is bound, every probe is one thread-local pointer test). A

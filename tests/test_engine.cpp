@@ -1,9 +1,12 @@
 // Engine-level tests: DC Newton, transient integration vs. analytic
-// solutions, AC, LTI noise (including the kT/C classic), DC and transient
+// solutions, runTransient's Newton predictor against its previous-point
+// oracle, AC, LTI noise (including the kT/C classic), DC and transient
 // sensitivities (adjoint == direct == finite difference).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numbers>
 
 #include "circuit/diode.hpp"
@@ -18,6 +21,8 @@
 #include "engine/transient.hpp"
 #include "engine/transient_sensitivity.hpp"
 #include "meas/measure.hpp"
+#include "rf/pss.hpp"
+#include "util/fault_injection.hpp"
 
 namespace psmn {
 namespace {
@@ -234,6 +239,175 @@ TEST(Transient, ChargeConservationOnCapDivider) {
   const TransientResult tr = runTransient(sys, 0.0, 10e-9, 0.05e-9, {});
   // V(mid) = 1 * C1/(C1+C2) = 2/3.
   EXPECT_NEAR(tr.finalState[nl.nodeIndex(mid)], 2.0 / 3.0, 1e-3);
+}
+
+// ------------------------------------------------------- Newton predictor
+//
+// runTransient starts each step's Newton from an extrapolation of the
+// segment's accepted points; TranOptions::predictor = false is the
+// previous-point oracle (integrateStep's start).
+
+Real relDiff(Real a, Real b) { return std::fabs(a - b) / std::fabs(b); }
+
+/// The Table II ring at nominal values, settled on its limit cycle.
+struct RingFixture {
+  Netlist nl;
+  RingOscillatorCircuit osc;
+  std::unique_ptr<MnaSystem> sys;
+  RingWarmup warm;
+
+  RingFixture() {
+    osc = buildRingOscillator(nl, ProcessKit::cmos130());
+    sys = std::make_unique<MnaSystem>(nl);
+    warm = warmupRingOscillator(*sys, osc);
+  }
+
+  /// `periods` periods at 400 BE steps per period from the settled state:
+  /// the ring's Monte-Carlo sample.
+  TransientResult run(bool predictor, int periods) const {
+    TranOptions opt;
+    opt.method = IntegrationMethod::kBackwardEuler;
+    opt.initialState = &warm.state;
+    opt.predictor = predictor;
+    const Real period = warm.periodEstimate;
+    return runTransient(*sys, 0.0, periods * period, period / 400, opt);
+  }
+
+  Real frequency(const TransientResult& tr) const {
+    return measureFrequency(
+        makeWaveform(tr.times, tr.states, warm.phaseIndex), 0.6, 6);
+  }
+};
+
+TEST(TransientPredictor, RingTakesAboutTwoNewtonIterationsPerStep) {
+  const RingFixture ring;
+  const TransientResult oracle = ring.run(false, 20);
+  const TransientResult pred = ring.run(true, 20);
+  ASSERT_EQ(oracle.stats.steps, 8000u);
+  ASSERT_EQ(pred.stats.steps, 8000u);
+  // Previous-point start: every step takes exactly three iterations.
+  EXPECT_EQ(oracle.stats.newtonIterations, 3 * oracle.stats.steps);
+  EXPECT_EQ(oracle.stats.predictedSteps, 0u);
+  // Quadratic extrapolation: the second iteration meets updateTol.
+  EXPECT_LE(static_cast<double>(pred.stats.newtonIterations),
+            2.1 * static_cast<double>(pred.stats.steps));
+  EXPECT_EQ(pred.stats.predictedSteps, pred.stats.steps - 1);
+  EXPECT_EQ(pred.stats.predictorRetries, 0u);
+  EXPECT_LT(relDiff(ring.frequency(pred), ring.frequency(oracle)), 1e-9);
+}
+
+TEST(TransientPredictor, FailedPredictedStartFallsBackToPreviousPoint) {
+  const RingFixture ring;
+  const TransientResult clean = ring.run(true, 2);
+  ASSERT_EQ(clean.stats.predictedSteps, clean.stats.steps - 1);
+  ASSERT_EQ(clean.stats.predictorRetries, 0u);
+
+  // One NaN-poisoned evaluation on a predicted step (the initial state
+  // skips the DC solve, so every hit lands in the stepping kernel): the
+  // predicted Newton fails and the step is re-solved from the previous
+  // point instead of failing the run.
+  FaultPlan plan;
+  plan.arm("mna.eval", 50, 1);
+  FaultScope scope(plan);
+  const TransientResult hit = ring.run(true, 2);
+  EXPECT_EQ(scope.fired("mna.eval"), 1);
+  EXPECT_EQ(hit.stats.predictorRetries, 1u);
+  EXPECT_EQ(hit.stats.predictedSteps, clean.stats.predictedSteps);
+  const Real tol = 10 * TranOptions{}.updateTol;
+  ASSERT_EQ(hit.states.size(), clean.states.size());
+  for (size_t k = 0; k < clean.states.size(); ++k) {
+    for (size_t i = 0; i < clean.states[k].size(); ++i) {
+      EXPECT_NEAR(hit.states[k][i], clean.states[k][i], tol)
+          << "unknown " << i << " step " << k;
+    }
+  }
+}
+
+TEST(TransientPredictor, LogicPathDelayMatchesPreviousPointOracle) {
+  Netlist nl;
+  const auto kit = ProcessKit::cmos130();
+  const auto lp = buildLogicPath(nl, kit, {});
+  MnaSystem sys(nl);
+  auto delay = [&](bool predictor, SolveStats& stats) {
+    TranOptions opt;
+    opt.method = IntegrationMethod::kBackwardEuler;
+    opt.predictor = predictor;
+    const TransientResult tr =
+        runTransient(sys, 0.0, lp.period, lp.period / 800, opt);
+    stats = tr.stats;
+    const Waveform wy =
+        makeWaveform(tr.times, tr.states, nl.nodeIndex(lp.y));
+    const Waveform wa =
+        makeWaveform(tr.times, tr.states, nl.nodeIndex(lp.outA));
+    return measureDelay(wy, wa, kit.vdd / 2, +1, -1);
+  };
+  SolveStats oracleStats, predStats;
+  const Real oracle = delay(false, oracleStats);
+  const Real pred = delay(true, predStats);
+  EXPECT_LT(relDiff(pred, oracle), 1e-9);
+  EXPECT_EQ(predStats.steps, oracleStats.steps);
+  EXPECT_LT(predStats.newtonIterations, oracleStats.newtonIterations);
+  EXPECT_EQ(predStats.predictorRetries, 0u);
+}
+
+TEST(TransientPredictor, AdaptiveRunMatchesOracleWithinReltol) {
+  // Variable steps: the extrapolation weights use the real accepted
+  // times, and rejected attempts never enter the history.
+  Netlist nl;
+  const auto kit = ProcessKit::cmos130();
+  InverterChainOptions copt;
+  copt.stages = 10;
+  buildInverterChain(nl, kit, copt);
+  MnaSystem sys(nl);
+  TranOptions opt;
+  opt.method = IntegrationMethod::kTrapezoidal;
+  opt.adaptive = true;
+  const TransientResult pred = runTransient(sys, 0.0, 4e-9, 5e-12, opt);
+  opt.predictor = false;
+  const TransientResult oracle = runTransient(sys, 0.0, 4e-9, 5e-12, opt);
+  EXPECT_GT(pred.stats.predictedSteps, 0u);
+  EXPECT_LT(pred.stats.newtonIterations, oracle.stats.newtonIterations);
+  // The predictor may move the accepted grid; compare on the oracle's
+  // waveform, interpolated at the predicted run's time points, against
+  // the local-error bound the step control itself admits.
+  for (size_t i = 0; i < sys.size(); ++i) {
+    const Waveform w = makeWaveform(oracle.times, oracle.states,
+                                    static_cast<int>(i));
+    for (size_t k = 0; k < pred.times.size(); ++k) {
+      const Real ref = w.valueAt(pred.times[k]);
+      EXPECT_NEAR(pred.states[k][i], ref,
+                  opt.reltol * std::fabs(ref) + opt.abstol)
+          << "unknown " << i << " t=" << pred.times[k];
+    }
+  }
+}
+
+TEST(TransientPredictor, HistoryRestartsAtEveryBreakpoint) {
+  // An RC on a PWL drive with three corners inside the window: four
+  // segments, and the first step of each starts from the previous point.
+  Netlist nl;
+  const NodeId in = nl.node("in");
+  const NodeId out = nl.node("out");
+  nl.add<VSource>("V1", in, kGround,
+                  SourceWave::pwl({0.0, 1e-9, 2e-9, 3e-9},
+                                  {0.0, 1.0, 0.2, 0.8}),
+                  nl);
+  nl.add<Resistor>("R1", in, out, 1e3, nl);
+  nl.add<Capacitor>("C1", out, kGround, 1e-12, nl);
+  MnaSystem sys(nl);
+  TranOptions opt;
+  for (bool adaptive : {false, true}) {
+    opt.adaptive = adaptive;
+    const TransientResult tr = runTransient(sys, 0.0, 5e-9, 0.1e-9, opt);
+    // The RC response is smooth inside each segment, so every step but
+    // the segment's first is predicted.
+    EXPECT_EQ(tr.stats.predictedSteps, tr.stats.steps - 4) << adaptive;
+    for (Real bp : {1e-9, 2e-9, 3e-9}) {
+      auto atBreakpoint = [bp](Real t) { return std::fabs(t - bp) < 1e-18; };
+      EXPECT_TRUE(std::any_of(tr.times.begin(), tr.times.end(), atBreakpoint))
+          << "no time point at the breakpoint " << bp;
+    }
+  }
 }
 
 // --------------------------------------------------------------------- AC

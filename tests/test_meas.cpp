@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <numbers>
+#include <string>
 
 #include "circuit/passives.hpp"
 #include "circuit/sources.hpp"
@@ -52,6 +54,55 @@ TEST(Measure, DelayBetweenWaveforms) {
   EXPECT_NEAR(measureDelay(stim, resp, 0.5, +1, -1), 15e-9, 1.1e-9);
   // Missing edge throws.
   EXPECT_THROW(measureDelay(resp, stim, 0.5, +1, -1), Error);
+}
+
+// Too few crossings and a missing edge are measurement outcomes (a
+// Monte-Carlo sample that stopped switching): the text states what was
+// found against what was needed, and reads neither as a failed internal
+// check nor with a source location.
+void expectMeasurementError(const std::function<void()>& f,
+                            const std::string& expected) {
+  try {
+    f();
+    FAIL() << "expected a measurement error";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what, expected);
+    EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+    EXPECT_EQ(what.find('/'), std::string::npos) << what;
+  }
+}
+
+TEST(Measure, MissingCrossingsReportWhatWasFound) {
+  const Waveform w = sineWave(1e6, 1.0, 0.0, 3e-6, 3000);
+  expectMeasurementError([&] { measurePeriod(w, 0.0, 8); },
+                         "measurePeriod: 3 rising crossings of 0V, need 9");
+  expectMeasurementError([&] { measureFrequency(w, 2.0, 1); },
+                         "measurePeriod: 0 rising crossings of 2V, need 2");
+
+  Waveform low, step;
+  for (int k = 0; k <= 10; ++k) {
+    low.times.push_back(k * 1e-9);
+    low.values.push_back(0.0);
+    step.times.push_back(k * 1e-9);
+    step.values.push_back(k >= 5 ? 1.0 : 0.0);
+  }
+  expectMeasurementError(
+      [&] { measureDelay(low, step, 0.5, +1, +1); },
+      "measureDelay: stimulus has no rising crossing of 500mV");
+  expectMeasurementError(
+      [&] { measureDelay(step, low, 0.5, +1, -1); },
+      "measureDelay: response has no falling crossing of 500mV after the "
+      "stimulus edge at t=4.5ns");
+
+  // API misuse stays a failed check.
+  try {
+    measurePeriod(w, 0.0, 0);
+    FAIL() << "cycles = 0 must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("check failed"), std::string::npos);
+  }
 }
 
 TEST(Measure, SettledValueAndDetection) {
